@@ -5,8 +5,9 @@ A field chi = eta d/dy + alpha d/da + beta d/db + xi d/dx is tangent to
 y = F(a, b, x) exactly when the residual chi(y - F) restricted to the surface
 vanishes.  For a monomial model a + b^m x^n the known automorphisms are the
 grading field, the one-parameter field n b d/db - m x d/dx, and a square
-field; a deformed surface keeps the one-parameter field only when its
-deformation is built from powers of b^m x^n.
+field; a deformed surface keeps the one-parameter field only when every
+monomial b^j x^l of its deformation has j n = l m, so that the field is
+tangent to it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cmoperator import VField
-from .poly import Poly, Grading, VAR_INDEX, singular_grading
+from .poly import Poly, Grading, VAR_INDEX
+from .singnorm import finite_type
 
 
 @dataclass(frozen=True)
@@ -99,11 +101,13 @@ def model_fields(m: int, n: int, grading: Grading, order: int) -> dict:
 
 
 def monomial_pattern_check(surface, m: int, n: int) -> dict:
-    """Is the deformation built from powers of b^m x^n?
+    """Is every monomial b^j x^l of the deformation on the pattern j n = l m,
+    the condition for n b d/db - m x d/dx to be tangent to it?  When
+    gcd(m, n) > 1 this admits more than the powers of b^m x^n.
 
     Checks f = F - a - b^m x^n.  The loose reading allows coefficients
-    depending on a (bidegree in (b, x) a multiple of (m, n)); the strict one
-    also forbids any a-dependence.  Returns both flags.
+    depending on a; the strict one also forbids any a-dependence.  Returns
+    both flags.
     """
     g, L = surface.grading, surface.order
     f = surface.F - Poly.var("a", g, L) - Poly.monomial(1, g, L, b=m, x=n)
@@ -111,8 +115,7 @@ def monomial_pattern_check(surface, m: int, n: int) -> dict:
     loose = strict = True
     for exps in f.terms:
         j, l = exps[ib], exps[ix]
-        on_pattern = (j * n == l * m) and (m == 0 or j % m == 0) and j + l > 0
-        if not on_pattern:
+        if j * n != l * m or j + l == 0:
             loose = strict = False
             break
         if exps[ia]:
@@ -144,22 +147,12 @@ def isotropy_report(surface, type_data=None) -> IsotropyReport:
     is tangent; reports it.  TRIVIAL: nothing nontrivial survives.
     """
     g, L = surface.grading, surface.order
-    if type_data is not None:
-        m, n = type_data.m, type_data.n
-    else:
-        # pick the lowest-weight mixed monomial as the model exponent
-        ia, ib, ix, iy = (VAR_INDEX[v] for v in ("a", "b", "x", "y"))
-        best = None
-        for exps in surface.F.terms:
-            if exps[ia] or exps[iy] or not exps[ib] or not exps[ix]:
-                continue
-            key = (exps[ib] + exps[ix], exps[ib])
-            if best is None or key < best:
-                best = key
-        if best is None:
+    if type_data is None:
+        type_data = finite_type(surface)
+        if type_data is None:
             raise ValueError("no mixed monomial; the jet is not finite type "
                              "at this truncation")
-        m, n = best[1], best[0] - best[1]
+    m, n = type_data.m, type_data.n
     f = surface.F - Poly.var("a", g, L) - Poly.monomial(1, g, L, b=m, x=n)
     fields = model_fields(m, n, g, L)
     if f.is_zero():

@@ -28,6 +28,8 @@ from .surfaces import MapError, PointMap, SurfaceJet, preliminary_reduce
 
 DEFAULT_MAX_ORDER = 24
 DEFAULT_REGULAR_ORDER = 8
+SURFACE_VARS = frozenset("abx")
+ODE_VARS = frozenset("xyp")
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -201,16 +203,33 @@ def _read_expr(args) -> str:
     raise ConfigError("provide --expr or --input")
 
 
-def _check_order(order: int):
+def _check_bound(flag: str, value: int, lowest: int):
     guard = int(os.environ.get("PARACR_MAX_ORDER", DEFAULT_MAX_ORDER))
-    if order < 2:
-        raise ConfigError("--order must be at least 2")
-    if order > guard:
-        raise ConfigError(f"--order {order} exceeds the guard {guard} "
+    if value < lowest:
+        raise ConfigError(f"{flag} must be at least {lowest}")
+    if value > guard:
+        raise ConfigError(f"{flag} {value} exceeds the guard {guard} "
                           "(set PARACR_MAX_ORDER to raise it)")
 
 
+def _read_input(args, grading, default_order: int = DEFAULT_REGULAR_ORDER,
+                variables: frozenset = SURFACE_VARS) -> Poly:
+    """The subcommand's polynomial, parsed at --order (or `default_order`)
+    after that order passes the guard."""
+    order = args.order if args.order is not None else default_order
+    _check_bound("--order", order, 2)
+    return parse_poly(_read_expr(args), variables, grading, order)
+
+
+def _finite_type(F: Poly) -> singnorm.TypeData:
+    t = singnorm.finite_type(SurfaceJet(F), F.order)
+    if t is None:
+        raise MapError("no mixed term found; type undetermined at this order")
+    return t
+
+
 def cmd_tables(args) -> int:
+    _check_bound("--ell", args.ell, 0)
     rep = cmoperator.analyze(args.ell)
     kernel = [vfield_json(v) for v in rep.kernel]
     report = {
@@ -234,9 +253,7 @@ def cmd_tables(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    order = args.order if args.order is not None else DEFAULT_REGULAR_ORDER
-    _check_order(order)
-    F = parse_poly(_read_expr(args), {"a", "b", "x"}, REGULAR, order)
+    F = _read_input(args, REGULAR)
     surface = SurfaceJet(F)
     reduced, pre = preliminary_reduce(surface)
     if args.geometric:
@@ -260,19 +277,10 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_normalize_singular(args) -> int:
-    text = _read_expr(args)
-    probe = parse_poly(text, {"a", "b", "x"}, UNIT, 64)
-    t = singnorm.finite_type(SurfaceJet(probe))
-    if t is None:
-        print("error: no mixed term found; type undetermined at this order",
-              file=sys.stderr)
-        return EXIT_DOMAIN
+    t = _finite_type(parse_poly(_read_expr(args), SURFACE_VARS, UNIT, 64))
     if t.regular:
-        print("error: jet is of type 2; use `normalize`", file=sys.stderr)
-        return EXIT_DOMAIN
-    order = args.order if args.order is not None else t.k + 6
-    _check_order(order)
-    F = parse_poly(text, {"a", "b", "x"}, UNIT, order)
+        raise MapError("jet is of type 2; use `normalize`")
+    F = _read_input(args, UNIT, t.k + 6)
     reduced, pre, t = singnorm.prelim_reduce_singular(SurfaceJet(F))
     rep = singnorm.normalize_singular_jet(reduced, t)
     transform = rep.transform.compose(pre)
@@ -293,14 +301,12 @@ def cmd_normalize_singular(args) -> int:
 
 
 def cmd_type(args) -> int:
-    order = args.order if args.order is not None else DEFAULT_REGULAR_ORDER
-    _check_order(order)
-    F = parse_poly(_read_expr(args), {"a", "b", "x"}, UNIT, order)
-    t = singnorm.finite_type(SurfaceJet(F), order)
+    F = _read_input(args, UNIT)
+    t = singnorm.finite_type(SurfaceJet(F), F.order)
     if t is None:
-        report = {"verdict": "undetermined", "maxOrder": order}
+        report = {"verdict": "undetermined", "maxOrder": F.order}
         emit(report, args.json,
-             [f"undetermined: no mixed term through degree {order}"])
+             [f"undetermined: no mixed term through degree {F.order}"])
         return EXIT_DOMAIN
     verdict = "regular" if t.regular else "singular"
     report = {"verdict": verdict, "k": t.k, "m": t.m, "n": t.n}
@@ -309,10 +315,8 @@ def cmd_type(args) -> int:
 
 
 def cmd_ode2surf(args) -> int:
-    order = args.order if args.order is not None else DEFAULT_REGULAR_ORDER
-    _check_order(order)
-    B = parse_poly(_read_expr(args), {"x", "y", "p"}, UNIT, order)
-    surface = odebridge.ode_to_surface(odebridge.OdeJet(B), order + 2)
+    B = _read_input(args, UNIT, variables=ODE_VARS)
+    surface = odebridge.ode_to_surface(odebridge.OdeJet(B), B.order + 2)
     report = {"surface": {"text": str(surface.F),
                           "terms": poly_json(surface.F)},
               "order": surface.order}
@@ -321,9 +325,7 @@ def cmd_ode2surf(args) -> int:
 
 
 def cmd_surf2ode(args) -> int:
-    order = args.order if args.order is not None else DEFAULT_REGULAR_ORDER
-    _check_order(order)
-    F = parse_poly(_read_expr(args), {"a", "b", "x"}, UNIT, order)
+    F = _read_input(args, UNIT)
     ode, data = odebridge.surface_to_ode(SurfaceJet(F))
     report = {"B": {"text": str(ode.B), "terms": poly_json(ode.B)},
               "order": ode.order,
@@ -338,9 +340,7 @@ def cmd_surf2ode(args) -> int:
 
 
 def cmd_check_normal(args) -> int:
-    order = args.order if args.order is not None else DEFAULT_REGULAR_ORDER
-    _check_order(order)
-    F = parse_poly(_read_expr(args), {"a", "b", "x"}, REGULAR, order)
+    F = _read_input(args, REGULAR)
     conditions = regnorm.check_normal_conditions(SurfaceJet(F))
     ok = all(conditions.values())
     report = {"normal": ok,
@@ -353,9 +353,7 @@ def cmd_check_normal(args) -> int:
 
 
 def cmd_check_ode_normal(args) -> int:
-    order = args.order if args.order is not None else DEFAULT_REGULAR_ORDER
-    _check_order(order)
-    B = parse_poly(_read_expr(args), {"x", "y", "p"}, UNIT, order)
+    B = _read_input(args, UNIT, variables=ODE_VARS)
     offenders = odebridge.check_ode_normal(odebridge.OdeJet(B))
     ok = not offenders
     report = {"normal": ok,
@@ -369,16 +367,10 @@ def cmd_check_ode_normal(args) -> int:
 
 
 def cmd_autos(args) -> int:
-    order = args.order if args.order is not None else DEFAULT_REGULAR_ORDER
-    _check_order(order)
-    probe = parse_poly(_read_expr(args), {"a", "b", "x"}, UNIT, order)
-    t = singnorm.finite_type(SurfaceJet(probe), order)
-    if t is None:
-        print("error: no mixed term found; type undetermined at this order",
-              file=sys.stderr)
-        return EXIT_DOMAIN
+    probe = _read_input(args, UNIT)
+    t = _finite_type(probe)
     grading = REGULAR if t.regular else singular_grading(t.k)
-    F = parse_poly(_read_expr(args), {"a", "b", "x"}, grading, order)
+    F = parse_poly(_read_expr(args), SURFACE_VARS, grading, probe.order)
     rep = autodetect.isotropy_report(SurfaceJet(F), t)
     report = {"verdict": rep.verdict, "order": rep.order,
               "m": rep.m, "n": rep.n,

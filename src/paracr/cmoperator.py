@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .poly import Poly, Grading, REGULAR, VARS, VAR_INDEX, mono_exps
+from .poly import Poly, Grading, REGULAR, VARS, VAR_INDEX
 
 
 @dataclass(frozen=True)

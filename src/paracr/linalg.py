@@ -79,7 +79,3 @@ def solve(matrix, rhs):
             return None  # pivot in the augmented column
         sol[pc] = m[r][cols]
     return sol
-
-
-def matmul_vec(matrix, vec):
-    return [sum((a * v for a, v in zip(row, vec)), Fraction(0)) for row in matrix]

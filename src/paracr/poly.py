@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping
+from typing import Mapping
 
 try:  # gmpy2's mpq is a drop-in exact rational, much faster than Fraction
     from gmpy2 import mpq as RAT
@@ -218,10 +218,6 @@ class Poly:
         if not self.terms:
             return None
         return max(self.grading.weight(e) for e in self.terms)
-
-    def degree_in(self, var: str) -> int:
-        i = VAR_INDEX[var]
-        return max((e[i] for e in self.terms), default=0)
 
     # ---- structural adjustments --------------------------------------
 
@@ -494,10 +490,3 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self}, order={self.order})"
-
-
-def poly_sum(polys: Iterable[Poly], grading: Grading, order: int) -> Poly:
-    total = Poly.zero(grading, order)
-    for p in polys:
-        total = total + p
-    return total

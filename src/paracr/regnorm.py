@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import cmoperator as cm
-from .poly import Poly, REGULAR, mono_exps
+from .poly import Poly, REGULAR
 from .series import SolveError, implicit_solve, ode_solve, reciprocal, divide, \
     sqrt_unit, reverse_univariate
-from .surfaces import SurfaceJet, PointMap, apply_map
+from .surfaces import SurfaceJet, PointMap, apply_map, _normalize_weights
 
 
 CONDITION_KEYS = ("i", "ii", "iii", "iv", "v")
@@ -79,28 +79,9 @@ def _require_preliminary(surface: SurfaceJet):
 def normalize_jet(surface: SurfaceJet) -> NormalFormReport:
     """Weight-by-weight normal form of a preliminary-reduced regular jet."""
     _require_preliminary(surface)
-    g, L = surface.grading, surface.order
-    current = surface
-    transform = PointMap.identity(g, L)
-    eliminated: dict = {}
-    for nu in range(3, L + 1):
-        p_nu = current.f_regular().component(nu)
-        if p_nu.is_zero():
-            continue
-        v, normal = cm.decompose(p_nu)
-        if v.is_zero():
-            continue
-        step = PointMap(Poly.var("x", g, L) + v.xi.with_order(L),
-                        Poly.var("y", g, L) + v.eta.with_order(L),
-                        Poly.var("a", g, L) + v.alpha.with_order(L),
-                        Poly.var("b", g, L) + v.beta.with_order(L))
-        current = apply_map(current, step)
-        transform = step.compose(transform)
-        eliminated[nu] = sorted((p_nu - normal).terms)
-        got = current.f_regular().component(nu)
-        if got != normal:
-            raise RuntimeError(f"normalization at weight {nu} disagrees with "
-                               "the linear prediction")
+    current, transform, eliminated = _normalize_weights(
+        surface, cm.model_poly(surface.grading, surface.order),
+        cm.normal_complement_monomials, cm.COMPONENTS)
     return NormalFormReport(normalized=current, transform=transform,
                             eliminated_by_weight=eliminated,
                             conditions=check_normal_conditions(current))
@@ -129,11 +110,6 @@ def _a_of_xy(f: Poly) -> Poly:
         return y - f0.substitute({"a": s})
 
     return implicit_solve(rhs, y, L)
-
-
-def _coef_series(f: Poly, j: int, l: int) -> Poly:
-    """Coefficient of b^j x^l as a series in a."""
-    return f.coeff_series(b=j, x=l)
 
 
 def _subst_var(series_in_a: Poly, var: str) -> Poly:
@@ -180,7 +156,7 @@ def _step6(f: Poly, target: Poly | None = None) -> PointMap:
     """Scaling B = C(a) b, X = x / C(y) with C'/C = -(f22 - target).
     With the default target 0 this kills the (2,2) coefficient."""
     g, L = f.grading, f.order
-    f22 = _coef_series(f, 2, 2)
+    f22 = f.coeff_series(b=2, x=2)
     rhs_series = f22 if target is None else f22 - target
 
     def ode_rhs(derivs, t):
@@ -196,7 +172,7 @@ def _step7(f: Poly) -> PointMap:
     """Reparametrisation killing the (3,3) coefficient, from the third-order
     series ODE for h with h(0)=0, h'(0)=1 (h''(0) fixed to 0)."""
     g, L = f.grading, f.order
-    c33 = _coef_series(f, 3, 3) * 36  # f_bbbxxx(a,0,0)
+    c33 = f.coeff_series(b=3, x=3) * 36  # f_bbbxxx(a,0,0)
 
     def ode_rhs(derivs, t):
         h0, h1, h2 = derivs
@@ -218,8 +194,8 @@ def solve_chain(f: Poly) -> ChainData:
     pi'' + (pi')^2 p' = 2 f23 with zero initial data, then the
     parametrisation q' = 1 + p' pi and the on-surface constraint for psi."""
     g, L = f.grading, f.order
-    f32 = _coef_series(f, 3, 2) * 2
-    f23 = _coef_series(f, 2, 3) * 2
+    f32 = f.coeff_series(b=3, x=2) * 2
+    f23 = f.coeff_series(b=2, x=3) * 2
     t = Poly.var("a", g, L)
     p = Poly.zero(g, L)
     pi = Poly.zero(g, L)

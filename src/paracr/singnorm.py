@@ -12,12 +12,12 @@ four coordinates can reach; the retained complement is everything else.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import cmoperator as cm
-from .poly import Poly, UNIT, VAR_INDEX, mono_exps, singular_grading
+from .poly import Poly, VAR_INDEX, mono_exps, singular_grading
 from .series import SolveError
-from .surfaces import MapError, PointMap, SurfaceJet, apply_map, _pure_series
+from .surfaces import MapError, PointMap, SurfaceJet, _normalize_weights, \
+    _preliminary
 
 
 @dataclass(frozen=True)
@@ -70,65 +70,28 @@ def prelim_reduce_singular(surface: SurfaceJet):
     """Reduce a finite-type jet with k > 2 to the bottom-row shape above.
 
     Kills the pure-x and pure-b series, scales a to coefficient 1, then
-    rescales (y, a) together so the leading mixed coefficient becomes 1.
+    rescales so the leading mixed coefficient becomes 1.
     Returns (reduced SurfaceJet in the type-k grading, PointMap, TypeData).
     """
     L = surface.order
-    F = surface.F.with_grading(UNIT, L)
-    if F.coeff(mono_exps(a=1)) == 0:
-        raise MapError("not a graph over a: F_a(0) = 0")
 
-    total = PointMap.identity(UNIT, L)
+    def leading(F: Poly) -> tuple:
+        t = finite_type(SurfaceJet(F))
+        if t is None:
+            raise MapError(f"no mixed term through degree {L}; "
+                           "type is undetermined at this truncation")
+        if t.k == 2:
+            raise MapError("jet is of type 2; use the regular reduction")
+        return t.m, t.n
 
-    def apply(step: PointMap):
-        nonlocal F, total
-        F = apply_map(SurfaceJet(F), step).F
-        total = step.compose(total)
-
-    for _ in range(L + 2):
-        px = _pure_series(F, "x")
-        pb = _pure_series(F, "b")
-        ga = F.coeff(mono_exps(a=1))
-        if px.is_zero() and pb.is_zero() and ga == 1:
-            break
-        apply(PointMap(Poly.var("x", UNIT, L),
-                       Poly.var("y", UNIT, L) - px,
-                       Poly.var("a", UNIT, L) * ga + pb,
-                       Poly.var("b", UNIT, L)))
-    else:
-        raise SolveError("preliminary reduction did not terminate")
-
-    t = finite_type(SurfaceJet(F))
-    if t is None:
-        raise MapError(f"no mixed term through degree {L}; "
-                       "type is undetermined at this truncation")
-    if t.k == 2:
-        raise MapError("jet is of type 2; use the regular reduction")
-    k, m, n = t.k, t.m, t.n
-
-    gm = F.coeff(mono_exps(b=m, x=n))
-    if gm != 1:
-        if m == 1:
-            # b* = gm b rescales the leading coefficient to 1
-            apply(PointMap(Poly.var("x", UNIT, L), Poly.var("y", UNIT, L),
-                           Poly.var("a", UNIT, L),
-                           Poly.var("b", UNIT, L) * gm))
-        else:
-            # for m > 1 the b-scaling alone cannot reach 1 over the rationals;
-            # y* = y/gm, a* = a/gm divides every bottom-row coefficient by gm
-            inv = Fraction(1) / Fraction(gm.numerator, gm.denominator)
-            apply(PointMap(Poly.var("x", UNIT, L),
-                           Poly.var("y", UNIT, L) * inv,
-                           Poly.var("a", UNIT, L) * inv,
-                           Poly.var("b", UNIT, L)))
-
+    F, total, (m, n) = _preliminary(surface, leading)
+    k = m + n
     gammas = tuple(F.coeff(mono_exps(b=j, x=k - j)) for j in range(m + 1, k))
     t = TypeData(k=k, m=m, n=n, gammas=gammas)
 
     g = singular_grading(k)
     reduced = SurfaceJet(F.with_grading(g, L))
-    low = reduced.f_part(t.model(g, L)).up_to_weight(k)
-    if not low.is_zero():
+    if not reduced.f_part(t.model(g, L)).up_to_weight(k).is_zero():
         raise SolveError("singular reduction left weight <= k contamination")
     return reduced, total.with_grading(g, L), t
 
@@ -208,29 +171,9 @@ def normalize_singular_jet(surface: SurfaceJet, t: TypeData) -> SingularReport:
     model = t.model(g, L)
     if not surface.f_part(model).up_to_weight(t.k).is_zero():
         raise ValueError("jet is not in the reduced bottom-row shape")
-    current = surface
-    transform = PointMap.identity(g, L)
-    eliminated: dict = {}
-    for nu in range(t.k + 1, L + 1):
-        p_nu = current.f_part(model).component(nu)
-        if p_nu.is_zero():
-            continue
-        v, normal = cm.decompose(p_nu, complement=allowed_monomials(nu, t),
-                                 grading=g, model=model,
-                                 component_order=SINGULAR_COMPONENT_ORDER)
-        if v.is_zero():
-            continue
-        step = PointMap(Poly.var("x", g, L) + v.xi.with_order(L),
-                        Poly.var("y", g, L) + v.eta.with_order(L),
-                        Poly.var("a", g, L) + v.alpha.with_order(L),
-                        Poly.var("b", g, L) + v.beta.with_order(L))
-        current = apply_map(current, step)
-        transform = step.compose(transform)
-        eliminated[nu] = sorted((p_nu - normal).terms)
-        got = current.f_part(model).component(nu)
-        if got != normal:
-            raise RuntimeError(f"singular normalization at weight {nu} "
-                               "disagrees with the linear prediction")
+    current, transform, eliminated = _normalize_weights(
+        surface, model, lambda nu: allowed_monomials(nu, t),
+        SINGULAR_COMPONENT_ORDER)
     report = SingularReport(normalized=current, transform=transform,
                             type_data=t, eliminated_by_weight=eliminated)
     report.ok = is_singular_normal(current, t)

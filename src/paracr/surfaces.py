@@ -8,6 +8,10 @@ implicit solve.  A map that keeps the weight filtration of the jet's grading
 that breaks it, such as the preliminary A = ga a + pb(b), is applied in the
 unit (total-degree) grading, where every origin-preserving map keeps the
 filtration, and the result is re-truncated in the jet's own grading.
+
+The regular and singular cases share two procedures built on `apply_map`:
+the preliminary reduction `_preliminary` and the weight-by-weight
+normalization loop `_normalize_weights`.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Poly, Grading, REGULAR, UNIT, mono_exps
+from . import cmoperator as cm
+from .poly import Poly, Grading, UNIT, VAR_INDEX, mono_exps
 from .series import SolveError, implicit_solve
 
 
@@ -195,56 +200,107 @@ def apply_map(surface: SurfaceJet, pmap: PointMap) -> SurfaceJet:
 
 def _pure_series(F: Poly, var: str) -> Poly:
     """The part of F supported on powers of a single variable (degree >= 1)."""
-    terms = {}
-    from .poly import VARS, VAR_INDEX
     i = VAR_INDEX[var]
-    for exps, c in F.terms.items():
-        if exps[i] >= 1 and all(e == 0 for j, e in enumerate(exps) if j != i):
-            terms[exps] = c
-    return Poly(terms, F.grading, F.order)
+    return Poly({exps: c for exps, c in F.terms.items()
+                 if exps[i] >= 1 and sum(exps) == exps[i]}, F.grading, F.order)
+
+
+def _preliminary(surface: SurfaceJet, leading) -> tuple:
+    """The preliminary reduction shared by the regular and singular cases,
+    computed in the unit grading, where its maps keep the filtration.
+
+    Kills the pure-x and pure-b series and scales a to coefficient 1.  Then
+    `leading(F)` names the leading mixed monomial b^m x^n of the result, or
+    raises if F has the wrong shape, and its coefficient c is scaled to 1:
+    by b* = c b when m = 1.  For m > 1 the b-scaling alone cannot reach 1
+    over the rationals; y* = y/c, a* = a/c divides the whole bottom row by c.
+    Returns (F, map, (m, n)) with F and the map in the unit grading.
+    """
+    L = surface.order
+    F = surface.F.with_grading(UNIT, L)
+    if F.coeff(mono_exps(a=1)) == 0:
+        raise MapError("not a graph over a: F_a(0) = 0")
+    total = PointMap.identity(UNIT, L)
+    x, y, a, b = (Poly.var(v, UNIT, L) for v in "xyab")
+
+    def apply(step: PointMap):
+        nonlocal F, total
+        F = apply_map(SurfaceJet(F), step).F
+        total = step.compose(total)
+
+    for _ in range(L + 2):
+        px, pb = _pure_series(F, "x"), _pure_series(F, "b")
+        ga = F.coeff(mono_exps(a=1))
+        if px.is_zero() and pb.is_zero() and ga == 1:
+            break
+        apply(PointMap(x, y - px, a * ga + pb, b))
+    else:
+        raise SolveError("preliminary reduction did not terminate")
+
+    m, n = leading(F)
+    c = F.coeff(mono_exps(b=m, x=n))
+    if c != 1:
+        if m == 1:
+            apply(PointMap(x, y, a, b * c))
+        else:
+            inv = Fraction(1) / Fraction(c.numerator, c.denominator)
+            apply(PointMap(x, y * inv, a * inv, b))
+    return F, total, (m, n)
 
 
 def preliminary_reduce(surface: SurfaceJet) -> tuple:
     """Reduce a regular (type 2) jet to the shape a + bx + (weight >= 3).
 
     Kills pure-x and pure-b series, scales a to coefficient 1 and bx to
-    coefficient 1.  Raises MapError if F_a(0) = 0, and TypeError-like MapError
-    if the jet is not of type 2 (no bx term after reduction; use the singular
-    reduction instead).
+    coefficient 1.  Raises MapError if F_a(0) = 0, or if the jet is not of
+    type 2 (no bx term after reduction; use the singular reduction instead).
     """
+    def leading(F: Poly) -> tuple:
+        if F.coeff(mono_exps(b=1, x=1)) == 0:
+            raise MapError("jet is not of type 2; use the singular reduction")
+        return 1, 1
+
     g, L = surface.grading, surface.order
-    F = surface.F.with_grading(UNIT, L)
-    if F.coeff(mono_exps(a=1)) == 0:
-        raise MapError("not a graph over a: F_a(0) = 0")
-    total = PointMap.identity(UNIT, L)
-    for _ in range(L + 2):
-        px = _pure_series(F, "x")
-        pb = _pure_series(F, "b")
-        ga = F.coeff(mono_exps(a=1))
-        if px.is_zero() and pb.is_zero() and ga == 1:
-            break
-        step = PointMap(
-            Poly.var("x", UNIT, L),
-            Poly.var("y", UNIT, L) - px,
-            Poly.var("a", UNIT, L) * ga + pb,
-            Poly.var("b", UNIT, L))
-        F = apply_map(SurfaceJet(F), step).F
-        total = step.compose(total)
-    else:
-        raise SolveError("preliminary reduction did not terminate")
-
-    gamma = F.coeff(mono_exps(b=1, x=1))
-    if gamma == 0:
-        raise MapError("jet is not of type 2; use the singular reduction")
-    if gamma != 1:
-        step = PointMap(Poly.var("x", UNIT, L), Poly.var("y", UNIT, L),
-                        Poly.var("a", UNIT, L),
-                        Poly.var("b", UNIT, L) * gamma)
-        F = apply_map(SurfaceJet(F), step).F
-        total = step.compose(total)
-
+    F, total, _ = _preliminary(surface, leading)
     reduced = SurfaceJet(F.with_grading(g, L))
-    low = reduced.f_regular().up_to_weight(2)
-    if not low.is_zero():
+    if not reduced.f_regular().up_to_weight(2).is_zero():
         raise SolveError("preliminary reduction left weight-2 contamination")
     return reduced, total.with_grading(g, L)
+
+
+def _normalize_weights(surface: SurfaceJet, model: Poly, complement,
+                       component_order: tuple) -> tuple:
+    """Weight-by-weight normal form against the graded operator of the model
+    y = a + model, shared by the regular and singular cases.
+
+    At each weight nu above the grading's type k, `cm.decompose` splits the
+    weight-nu part of F - a - model into the operator's image and a part on
+    the monomials `complement(nu)`, pivoting on the field components in
+    `component_order`.  The field that removes the image part is applied as
+    a near-identity map, and the new weight-nu part must equal the predicted
+    normal part.  Returns (normalized jet, map, eliminated monomials by
+    weight).
+    """
+    g, L = surface.grading, surface.order
+    current = surface
+    transform = PointMap.identity(g, L)
+    eliminated: dict = {}
+    for nu in range(g.type_k + 1, L + 1):
+        p_nu = current.f_part(model).component(nu)
+        if p_nu.is_zero():
+            continue
+        v, normal = cm.decompose(p_nu, complement(nu), g, model,
+                                 component_order)
+        if v.is_zero():
+            continue
+        step = PointMap(Poly.var("x", g, L) + v.xi.with_order(L),
+                        Poly.var("y", g, L) + v.eta.with_order(L),
+                        Poly.var("a", g, L) + v.alpha.with_order(L),
+                        Poly.var("b", g, L) + v.beta.with_order(L))
+        current = apply_map(current, step)
+        transform = step.compose(transform)
+        eliminated[nu] = sorted((p_nu - normal).terms)
+        if current.f_part(model).component(nu) != normal:
+            raise RuntimeError(f"normalization at weight {nu} disagrees with "
+                               "the linear prediction")
+    return current, transform, eliminated

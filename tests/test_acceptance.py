@@ -8,6 +8,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from paracr import cli, cmoperator as cm, linalg, odebridge, regnorm, singnorm
 from paracr import autodetect as ad
 from paracr.poly import Poly, REGULAR, UNIT, VAR_INDEX, singular_grading
@@ -192,3 +194,48 @@ def test_criterion_12_golden_cli_tables(capsys):
         golden = (GOLDEN / f"tables_ell{ell}.json").read_text(encoding="utf-8")
         assert out == golden
         json.loads(out)  # the golden file is valid JSON as well
+
+
+_REGULAR_JET = "2a + 3bx + x^3 + b^2 + ab^2 + b^2x^2 - 1/2 ab x^3 + b^3x^2"
+GOLDEN_NORMALIZE = {
+    "normalize_regular": ["normalize", "--expr", _REGULAR_JET,
+                          "--order", "8"],
+    "normalize_regular_geometric": ["normalize", "--geometric",
+                                    "--expr", _REGULAR_JET, "--order", "8"],
+    "normalize_singular_k3_m1": [
+        "normalize-singular", "--order", "8",
+        "--expr", "2a + 3bx^2 + x^3 + b^2 + ab^2 + b^2x^2 - ab x^3"],
+    "normalize_singular_k3_m2": [
+        "normalize-singular", "--order", "8",
+        "--expr", "a + 2b^2x + x^3 + b^3 + ab + bx^3 - 1/2 a b^2x"],
+    "normalize_singular_k4_m1": [
+        "normalize-singular", "--order", "9",
+        "--expr", "2a + 3bx^3 + 2b^2x^2 + x^4 + ab^2 + b^2x^3 - b^4x"],
+    "normalize_singular_k4_m2": [
+        "normalize-singular", "--order", "10",
+        "--expr", "a + 3b^2x^2 - b^3x + x^5 + a b^2 + b^2x^3 + 1/2 b^3x^2"],
+    "normalize_singular_k5_m1": [
+        "normalize-singular", "--order", "10",
+        "--expr", "a + 2bx^4 + b^2x^3 + x^6 + ab + b^3x^3 + a x^2"],
+    "normalize_singular_k5_m2": [
+        "normalize-singular", "--order", "10",
+        "--expr", "3a + 2b^2x^3 + b^4x + x^5 + b^6 + a b^2 x - b^3x^3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_NORMALIZE))
+def test_golden_cli_normalize(capsys, name):
+    """`normalize --json` (both routes) and `normalize-singular --json` on
+    raw jets that need the whole preliminary reduction: pure-x and pure-b
+    series, an a-scaling and a leading coefficient other than 1, for
+    k = 2..5 and both m = 1 and m > 1.  The output must match the golden
+    file byte for byte.
+
+    The singular transform is pinned as the CLI prints it today: the
+    preliminary map is composed with the normalizing map in the type-k
+    grading, although it lowers weights there, so its high-weight terms
+    depend on --order.  The normal forms do not."""
+    code = cli.main(GOLDEN_NORMALIZE[name] + ["--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")

@@ -79,7 +79,11 @@ def test_pattern_check_strict():
          + Poly.monomial(1, g, L, b=4, x=4))
     pat = ad.monomial_pattern_check(SurfaceJet(F), m, n)
     assert pat["loose"] and pat["strict"]
-    F = F + Poly.monomial(1, g, L, b=3, x=3)  # (3,3) not a multiple of (2,2)
+    # (3,3) is not a power of b^2 x^2 but 2 b d/db - 2 x d/dx is tangent to it
+    F = F + Poly.monomial(1, g, L, b=3, x=3)
+    pat = ad.monomial_pattern_check(SurfaceJet(F), m, n)
+    assert pat["loose"] and pat["strict"]
+    F = F + Poly.monomial(1, g, L, b=3, x=2)  # 3 * 2 != 2 * 2: off pattern
     pat = ad.monomial_pattern_check(SurfaceJet(F), m, n)
     assert not pat["loose"] and not pat["strict"]
 

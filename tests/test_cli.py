@@ -78,6 +78,35 @@ def test_tables_text_and_json(capsys):
     assert rep["complement"] == ["b^2 x^4", "b^4 x^2"]
 
 
+def test_tables_ell_guard(capsys, monkeypatch):
+    monkeypatch.delenv("PARACR_MAX_ORDER", raising=False)
+    code, out, err = run(capsys, "tables", "--ell", "-1")
+    assert code == 2 and "--ell must be at least 0" in err and not out
+    code, out, err = run(capsys, "tables", "--ell", "25", "--json")
+    assert code == 2 and "PARACR_MAX_ORDER" in err and not out
+    for ell in ("0", "1"):
+        code, out, err = run(capsys, "tables", "--ell", ell)
+        assert code == 0 and out.startswith(f"weight {ell}:")
+
+
+def test_autos_one_parameter_when_gcd_exceeds_one(capsys):
+    code, out, err = run(capsys, "autos", "--order", "12", "--json",
+                         "--expr", "a + b^2x^2 + b^3x^3")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["verdict"] == "ONE_PARAMETER" and (rep["m"], rep["n"]) == (2, 2)
+    assert list(rep["fields"]) == ["chi"]
+
+
+def test_over_order_terms_rejected(capsys):
+    # a^2 has degree 2 <= 6 but weight 8 > 6 in the type-4 grading of autos
+    for cmd, expr in (("autos", "a + b^2x^2 + b^9"),
+                      ("autos", "a + b^2x^2 + a^2"),
+                      ("normalize-singular", "a + b^2x^2 + b^9")):
+        code, out, err = run(capsys, cmd, "--order", "6", "--expr", expr)
+        assert code == 2 and "exceeds the truncation order" in err, expr
+
+
 def test_normalize_flat(capsys):
     code, out, err = run(capsys, "normalize", "--expr", "a + b x")
     assert code == 0
