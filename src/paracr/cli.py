@@ -198,8 +198,14 @@ def _read_expr(args) -> str:
     if args.expr is not None:
         return args.expr
     if args.input is not None:
-        with open(args.input, encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(args.input, encoding="utf-8") as fh:
+                return fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read --input {args.input}: "
+                              f"{exc.strerror or exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"--input {args.input} is not UTF-8 text") from exc
     raise ConfigError("provide --expr or --input")
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 from . import linalg
 from .poly import Poly, Grading, REGULAR, VARS, VAR_INDEX
@@ -46,13 +48,6 @@ class VField:
     def is_zero(self) -> bool:
         return (self.eta.is_zero() and self.alpha.is_zero()
                 and self.beta.is_zero() and self.xi.is_zero())
-
-    def scaled(self, c) -> "VField":
-        return VField(self.eta * c, self.alpha * c, self.beta * c, self.xi * c)
-
-    def __add__(self, other: "VField") -> "VField":
-        return VField(self.eta + other.eta, self.alpha + other.alpha,
-                      self.beta + other.beta, self.xi + other.xi)
 
     @classmethod
     def zero(cls, grading: Grading, order: int) -> "VField":
@@ -129,12 +124,16 @@ def domain_basis(ell: int, grading: Grading,
     return basis
 
 
-def basis_field(comp: str, exps: tuple, grading: Grading, order: int,
-                coef=Fraction(1)) -> VField:
-    z = Poly.zero(grading, order)
-    parts = {"eta": z, "alpha": z, "beta": z, "xi": z}
-    parts[comp] = Poly({exps: coef}, grading, order)
-    return VField(parts["eta"], parts["alpha"], parts["beta"], parts["xi"])
+def _combine(coefs, domain, grading: Grading, order: int) -> VField:
+    """The field sum of coefs[i] times the elementary field domain[i]."""
+    parts = {comp: {} for comp in COMPONENTS}
+    for coef, (comp, exps) in zip(coefs, domain):
+        parts[comp][exps] = coef
+    return VField(*(Poly(parts[comp], grading, order) for comp in COMPONENTS))
+
+
+def basis_field(comp: str, exps: tuple, grading: Grading, order: int) -> VField:
+    return _combine((1,), ((comp, exps),), grading, order)
 
 
 def operator_matrix(ell: int, grading: Grading = REGULAR,
@@ -158,14 +157,8 @@ def operator_matrix(ell: int, grading: Grading = REGULAR,
 def kernel_basis(ell: int, grading: Grading = REGULAR,
                  model: Poly | None = None) -> list:
     matrix, domain, _ = operator_matrix(ell, grading, model)
-    fields = []
-    for vec in linalg.nullspace(matrix):
-        v = VField.zero(grading, ell + 1)
-        for coef, (comp, exps) in zip(vec, domain):
-            if coef != 0:
-                v = v + basis_field(comp, exps, grading, ell + 1, coef)
-        fields.append(v)
-    return fields
+    return [_combine(vec, domain, grading, ell + 1)
+            for vec in linalg.nullspace(matrix)]
 
 
 _EXCLUDED_BIDEGREES = {(2, 2), (2, 3), (3, 2), (3, 3)}
@@ -194,13 +187,36 @@ class OperatorReport:
 
 def analyze(ell: int, grading: Grading = REGULAR,
             model: Poly | None = None) -> OperatorReport:
-    matrix, domain, _ = operator_matrix(ell, grading, model)
-    r = linalg.rank(matrix)
+    domain = domain_basis(ell, grading)
     kernel = kernel_basis(ell, grading, model)
     complement = normal_complement_monomials(ell) if grading == REGULAR and ell >= 3 else []
-    return OperatorReport(ell=ell, domain_dim=len(domain), image_dim=r,
-                          kernel_dim=len(domain) - r, kernel=kernel,
+    return OperatorReport(ell=ell, domain_dim=len(domain),
+                          image_dim=len(domain) - len(kernel),
+                          kernel_dim=len(kernel), kernel=kernel,
                           complement=complement)
+
+
+# Factored solvers kept at once.  A regular jet needs one per weight and
+# every regular jet shares them; singular models vary with their gammas, so
+# their keys mostly miss, and a miss costs one elimination, as it did
+# before the cache.
+_SOLVER_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=_SOLVER_CACHE_SIZE)
+def _solver(ell: int, grading: Grading, model: Poly | None,
+            complement: tuple, component_order: tuple) -> tuple:
+    """The system [-T | E_complement] at weight ell, factored once.  Returns
+    (domain, codomain row index, elimination); every part is read-only."""
+    matrix, domain, codomain = operator_matrix(ell, grading, model,
+                                               component_order)
+    row_index = {e: i for i, e in enumerate(codomain)}
+    full = [[-c for c in row] + [Fraction(0)] * len(complement)
+            for row in matrix]
+    for c_i, exps in enumerate(complement):
+        full[row_index[exps]][len(domain) + c_i] = Fraction(1)
+    return (tuple(domain), MappingProxyType(row_index),
+            linalg.eliminate(full)[1])
 
 
 def decompose(p: Poly, complement: list | None = None,
@@ -217,28 +233,18 @@ def decompose(p: Poly, complement: list | None = None,
     ell = comps[0][0]
     if complement is None:
         complement = normal_complement_monomials(ell)
-    matrix, domain, codomain = operator_matrix(ell, grading, model, component_order)
-    row_index = {e: i for i, e in enumerate(codomain)}
-    columns = len(domain) + len(complement)
-    full = [[Fraction(0)] * columns for _ in codomain]
-    for r_i in range(len(codomain)):
-        for c_i in range(len(domain)):
-            full[r_i][c_i] = -matrix[r_i][c_i]
-    for c_i, exps in enumerate(complement):
-        full[row_index[exps]][len(domain) + c_i] = Fraction(1)
-    rhs = [Fraction(0)] * len(codomain)
+    domain, row_index, elimination = _solver(
+        ell, grading, model, tuple(complement), tuple(component_order))
+    rhs = [Fraction(0)] * len(row_index)
     for e, c in p.terms.items():
         rhs[row_index[e]] = c
-    sol = linalg.solve(full, rhs)
+    sol = elimination.solve(rhs)
     if sol is None:
         raise RuntimeError(
             f"decompose: infeasible system at weight {ell}; the direct-sum "
             "property should make this impossible")
     order = p.order
-    v = VField.zero(grading, order)
-    for coef, (comp, exps) in zip(sol, domain):
-        if coef != 0:
-            v = v + basis_field(comp, exps, grading, order, coef)
+    v = _combine(sol, domain, grading, order)
     normal = Poly({exps: coef for exps, coef in
                    zip(complement, sol[len(domain):]) if coef != 0},
                   grading, order)

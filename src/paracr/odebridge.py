@@ -80,24 +80,32 @@ def ode_to_surface(ode: OdeJet, order: int | None = None):
 
 
 def eliminate_initial_conditions(surface) -> EliminationData:
-    """Solve y = a + bx + f, p = b + f_x for a(x, y, p), b(x, y, p).
+    """Solve y = a + c bx + f, p = c b + f_x for a(x, y, p), b(x, y, p),
+    where c != 0 is the coefficient of bx in F and f holds degree 2 and up.
 
+    Each sweep sets b <- (p - f_x(a, b)) / c, then a <- y - c b x - f(a, b).
     The truncation grows one degree per sweep; then sweeps at full order run
     until the state is fixed (b can settle a degree after a, when f_x has a
-    term linear in a)."""
+    term linear in a).  phi is (integral of b in x) - x p as for c = 1, so
+    for c != 1 it starts with (1/c - 1) x p."""
     L = surface.order
     F = surface.F.with_grading(UNIT, L)
     x = Poly.var("x", UNIT, L)
     y = Poly.var("y", UNIT, L)
     p = Poly.var("p", UNIT, L)
-    f = F - Poly.var("a", UNIT, L) - Poly.monomial(1, UNIT, L, b=1, x=1)
-    if not f.up_to_weight(1).is_zero():
+    c = F.coeff_mono(b=1, x=1)
+    f = F - Poly.var("a", UNIT, L) - Poly.monomial(c, UNIT, L, b=1, x=1)
+    if c == 0 or not f.up_to_weight(1).is_zero():
         raise ValueError("elimination expects the shape a + bx + higher order")
-    fx = f.partial("x").with_order(L)
+    # b <- (p - f_x) / c with the division done once, outside the sweeps
+    inv_c = 1 / Fraction(c)
+    p_c = p * inv_c
+    fx_c = f.partial("x").with_order(L) * inv_c
+    cx = x * c
 
     def sweep(aS: Poly, bS: Poly) -> tuple:
-        b_new = p - fx.substitute({"a": aS, "b": bS}, strict=False)
-        a_new = y - b_new * x - f.substitute({"a": aS, "b": b_new}, strict=False)
+        b_new = p_c - fx_c.substitute({"a": aS, "b": bS}, strict=False)
+        a_new = y - b_new * cx - f.substitute({"a": aS, "b": b_new}, strict=False)
         return a_new, b_new
 
     aS, bS = y, p

@@ -227,3 +227,15 @@ def test_input_file(capsys, tmp_path):
     code, out, err = run(capsys, "normalize", "--input", str(path))
     assert code == 0
     assert out.startswith("normalized: a + b x")
+
+
+def test_input_file_unreadable(capsys, tmp_path):
+    binary = tmp_path / "jet.bin"
+    binary.write_bytes(b"a + b x \xc0\xff")
+    for path in (tmp_path / "missing" / "jet.txt", tmp_path, binary):
+        code, out, err = run(capsys, "normalize", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(path) in lines[0]

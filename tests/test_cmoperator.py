@@ -128,3 +128,71 @@ def test_model_poly_with_gammas():
     assert q.coeff_mono(b=2, x=3) == 1
     assert q.coeff_mono(b=3, x=2) == Fraction(1, 2)
     assert q.coeff_mono(b=4, x=1) == -1
+
+
+# ---- the per-weight solver cache ------------------------------------------
+
+def weight_six_jet_part():
+    """A weight-6 regular polynomial with terms both in the operator's image
+    and on the normal complement (b^2 x^4, b^4 x^2)."""
+    p = Poly.zero(REGULAR, 7)
+    for c, exps in [(1, dict(b=2, x=4)), (Fraction(-3, 2), dict(b=4, x=2)),
+                    (2, dict(a=1, b=1, x=3)), (5, dict(a=3)),
+                    (Fraction(1, 3), dict(b=3, x=3))]:
+        p = p + Poly.monomial(c, REGULAR, 7, **exps)
+    return p
+
+
+def test_decompose_cache_hit_gives_same_split():
+    p = weight_six_jet_part()
+    cm._solver.cache_clear()
+    first = cm.decompose(p)
+    second = cm.decompose(p)
+    info = cm._solver.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert first == second
+    v, normal = first
+    assert not normal.is_zero() and not v.is_zero()
+    assert (-cm.apply_t(v)).with_order(7) + normal == p
+    cm._solver.cache_clear()
+    assert cm.decompose(p) == first
+
+
+def test_decompose_unaffected_by_mutating_operator_matrix(monkeypatch):
+    returned = []
+    original = cm.operator_matrix
+
+    def recording(*args, **kwargs):
+        out = original(*args, **kwargs)
+        returned.append(out)
+        return out
+
+    p = weight_six_jet_part()
+    cm._solver.cache_clear()
+    monkeypatch.setattr(cm, "operator_matrix", recording)
+    before = cm.decompose(p)
+    assert len(returned) == 1  # the solver is built from operator_matrix
+    matrix, domain, codomain = returned[0]
+    for row in matrix:
+        row[:] = [Fraction(7)] * len(row)
+    domain.reverse()
+    codomain.clear()
+    assert cm.decompose(p) == before
+    assert len(returned) == 1  # served from the cache
+    cm._solver.cache_clear()
+
+
+def test_decompose_checks_run_on_a_cache_hit(monkeypatch):
+    p = weight_six_jet_part()
+    cm.decompose(p)
+    hits = cm._solver.cache_info().hits
+    monkeypatch.setattr(cm, "apply_t",
+                        lambda v, model=None: Poly.zero(REGULAR, 7))
+    with pytest.raises(RuntimeError, match="round-trip"):
+        cm.decompose(p)
+    assert cm._solver.cache_info().hits == hits + 1
+    monkeypatch.undo()
+    # an empty complement cannot absorb the weight-6 normal part
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="infeasible"):
+            cm.decompose(p, complement=[])

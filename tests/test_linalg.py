@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from paracr import linalg
 
 
@@ -58,3 +60,81 @@ def test_solve_random_square_systems():
         assert sol is not None
         back = [sum(m[i][j] * sol[j] for j in range(n)) for i in range(n)]
         assert back == rhs
+
+
+# ---- reduce-then-replay against an independent reduction -----------------
+
+entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def systems(draw):
+    """A small rational system M v = rhs.  Some rows of M repeat combinations
+    of earlier rows, so M is often rank-deficient, and rhs is either in the
+    image of M or drawn freely, so the system may be inconsistent."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5))
+    m = []
+    for _ in range(rows):
+        if m and draw(st.booleans()):
+            a, b = draw(entries), draw(entries)
+            i, j = draw(st.integers(0, len(m) - 1)), draw(st.integers(0, len(m) - 1))
+            m.append([a * x + b * y for x, y in zip(m[i], m[j])])
+        else:
+            m.append(draw(st.lists(entries, min_size=cols, max_size=cols)))
+    if draw(st.booleans()):
+        x = draw(st.lists(entries, min_size=cols, max_size=cols))
+        rhs = [sum(r * v for r, v in zip(row, x)) for row in m]
+    else:
+        rhs = draw(st.lists(entries, min_size=rows, max_size=rows))
+    return m, rhs
+
+
+def reference_rref(matrix):
+    """Gauss-Jordan written apart from linalg; it pivots on the last
+    candidate row instead of the first, which the unique RREF ignores."""
+    m = [list(row) for row in matrix]
+    pivots, r = [], 0
+    for c in range(len(m[0])):
+        candidates = [i for i in range(r, len(m)) if m[i][c] != 0]
+        if not candidates:
+            continue
+        i = candidates[-1]
+        m[r], m[i] = m[i], m[r]
+        lead = m[r][c]
+        m[r] = [v / lead for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def reference_solve(matrix, rhs):
+    """Reduce the augmented matrix; None when a pivot lands in the last
+    column, else the solution with free variables zeroed."""
+    cols = len(matrix[0])
+    m, pivots = reference_rref([row + [b] for row, b in zip(matrix, rhs)])
+    if pivots and pivots[-1] == cols:
+        return None
+    sol = [Fraction(0)] * cols
+    for r, pc in enumerate(pivots):
+        sol[pc] = m[r][cols]
+    return sol
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_replay_matches_augmented_reduction(system):
+    m, rhs = system
+    want = reference_solve(m, rhs)
+    assert linalg.solve(m, rhs) == want
+    rows, pivots = linalg.rref(m)
+    assert (rows, pivots) == reference_rref(m)
+    # replaying the matrix's own columns rebuilds its reduced form
+    elim = linalg.eliminate(m)[1]
+    assert elim.solve(rhs) == want
+    for j in range(len(m[0])):
+        assert elim.replay([row[j] for row in m]) == [row[j] for row in rows]

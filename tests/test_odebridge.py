@@ -113,6 +113,31 @@ def test_elimination_with_term_linear_in_x():
     assert F.partial("x").with_order(L).substitute(on) == Poly.var("p", UNIT, L)
 
 
+
+def test_elimination_with_bx_coefficient_not_one():
+    # F = a + 2bx + b^2x^2: p = 2b + 2b^2x, so the sweep divides by 2
+    L = 8
+    F = (Poly.var("a", UNIT, L) + Poly.monomial(2, UNIT, L, b=1, x=1)
+         + Poly.monomial(1, UNIT, L, b=2, x=2))
+    ode, data = ob.surface_to_ode(SurfaceJet(F))
+    q = lambda c, **e: Poly.monomial(c, UNIT, L - 2, **e)
+    assert ode.B == (q(Fraction(1, 2), p=2) + q(Fraction(-1, 2), x=1, p=3)
+                     + q(Fraction(5, 8), x=2, p=4))
+    on = {"a": data.a_series, "b": data.b_series}
+    assert F.substitute(on) == Poly.var("y", UNIT, L)
+    assert F.partial("x").with_order(L).substitute(on) == Poly.var("p", UNIT, L)
+    # the ODE identity F_xx = B(x, F, F_x) through degree L - 2
+    Fxx = F.partial("x", 2).with_order(L - 2)
+    assert Fxx == ode.B.substitute({"y": F.with_order(L - 2),
+                                    "p": F.partial("x").with_order(L - 2)})
+    assert data.phi.coeff_mono(x=1, p=1) == Fraction(-1, 2)
+
+
+def test_elimination_rejects_missing_bx():
+    F = Poly.var("a", UNIT, 8) + Poly.monomial(1, UNIT, 8, b=2, x=2)
+    with pytest.raises(ValueError, match="shape"):
+        ob.eliminate_initial_conditions(SurfaceJet(F))
+
 def test_check_ode_normal_families():
     assert ob.is_ode_normal(ode(Poly.monomial(1, UNIT, 6, p=4)))
     offenders = ob.check_ode_normal(ode(Poly.monomial(1, UNIT, 6, x=1, p=2)))
