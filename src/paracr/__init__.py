@@ -13,7 +13,7 @@ from .singnorm import (TypeData, SingularReport, finite_type,
                        check_singular_normal, is_singular_normal)
 from .odebridge import (OdeJet, EliminationData, ode_to_surface,
                         surface_to_ode, check_ode_normal, is_ode_normal,
-                        tresse_first_invariant, linear_ode_surface, wronskian)
+                        tresse_first_invariant, linear_ode_surface)
 from .autodetect import (TangencyResidual, IsotropyReport, apply_field,
                          is_infinitesimal_automorphism, monomial_pattern_check,
                          isotropy_report, grading_field, rotation_field,
@@ -31,7 +31,7 @@ __all__ = [
     "normalize_singular_jet", "check_singular_normal", "is_singular_normal",
     "OdeJet", "EliminationData", "ode_to_surface", "surface_to_ode",
     "check_ode_normal", "is_ode_normal", "tresse_first_invariant",
-    "linear_ode_surface", "wronskian",
+    "linear_ode_surface",
     "TangencyResidual", "IsotropyReport", "apply_field",
     "is_infinitesimal_automorphism", "monomial_pattern_check",
     "isotropy_report", "grading_field", "rotation_field", "square_field",

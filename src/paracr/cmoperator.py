@@ -101,7 +101,7 @@ def weighted_monomials(weight: int, variables: tuple, grading: Grading) -> list:
     return sorted(out)
 
 
-# Component tags, in the order used for the regular operator's matrix.
+# Component tags, in the order of the operator matrix's columns.
 COMPONENTS = ("eta", "alpha", "beta", "xi")
 _COMPONENT_VARS = {"eta": ("x", "y"), "xi": ("x", "y"),
                    "alpha": ("a", "b"), "beta": ("a", "b")}
@@ -205,11 +205,10 @@ _SOLVER_CACHE_SIZE = 32
 
 @lru_cache(maxsize=_SOLVER_CACHE_SIZE)
 def _solver(ell: int, grading: Grading, model: Poly | None,
-            complement: tuple, component_order: tuple) -> tuple:
+            complement: tuple) -> tuple:
     """The system [-T | E_complement] at weight ell, factored once.  Returns
     (domain, codomain row index, elimination); every part is read-only."""
-    matrix, domain, codomain = operator_matrix(ell, grading, model,
-                                               component_order)
+    matrix, domain, codomain = operator_matrix(ell, grading, model)
     row_index = {e: i for i, e in enumerate(codomain)}
     full = [[-c for c in row] + [Fraction(0)] * len(complement)
             for row in matrix]
@@ -220,8 +219,7 @@ def _solver(ell: int, grading: Grading, model: Poly | None,
 
 
 def decompose(p: Poly, complement: list | None = None,
-              grading: Grading = REGULAR, model: Poly | None = None,
-              component_order: tuple = COMPONENTS):
+              grading: Grading = REGULAR, model: Poly | None = None):
     """Split a homogeneous weight-ell polynomial as P = -T(v) + normal_part
     with normal_part supported on the complement monomials.  Free parameters
     of the underdetermined solve are zeroed deterministically."""
@@ -234,7 +232,7 @@ def decompose(p: Poly, complement: list | None = None,
     if complement is None:
         complement = normal_complement_monomials(ell)
     domain, row_index, elimination = _solver(
-        ell, grading, model, tuple(complement), tuple(component_order))
+        ell, grading, model, tuple(complement))
     rhs = [Fraction(0)] * len(row_index)
     for e, c in p.terms.items():
         rhs[row_index[e]] = c

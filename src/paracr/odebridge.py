@@ -163,13 +163,6 @@ def tresse_first_invariant(ode: OdeJet) -> Poly:
     return ode.B.partial("p", 4)
 
 
-def wronskian(f: Poly, g: Poly) -> Poly:
-    """f'g - fg' for univariate series in x."""
-    L = min(f.order, g.order) - 1
-    return (f.partial("x") * g.with_order(L)
-            - f.with_order(L) * g.partial("x")).with_order(L)
-
-
 def linear_ode_surface(r, s, order: int):
     """Solution manifold of y'' + r y' + s y = 0 (constant coefficients):
     F = a f1(x) + b f2(x) with f1(0) = f2'(0) = 1, f1'(0) = f2(0) = 0."""

@@ -214,11 +214,6 @@ class Poly:
             return None
         return min(self.grading.weight(e) for e in self.terms)
 
-    def max_weight(self) -> int | None:
-        if not self.terms:
-            return None
-        return max(self.grading.weight(e) for e in self.terms)
-
     # ---- structural adjustments --------------------------------------
 
     def with_order(self, order: int) -> "Poly":

@@ -81,7 +81,7 @@ def normalize_jet(surface: SurfaceJet) -> NormalFormReport:
     _require_preliminary(surface)
     current, transform, eliminated = _normalize_weights(
         surface, cm.model_poly(surface.grading, surface.order),
-        cm.normal_complement_monomials, cm.COMPONENTS)
+        cm.normal_complement_monomials)
     return NormalFormReport(normalized=current, transform=transform,
                             eliminated_by_weight=eliminated,
                             conditions=check_normal_conditions(current))

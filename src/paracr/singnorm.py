@@ -127,11 +127,6 @@ def allowed_monomials(nu: int, t: TypeData) -> list:
             if e not in bad]
 
 
-# Pivot order for zeroing free parameters: the a-shift family first, then the
-# b-shift, y-shift and x-shift families.
-SINGULAR_COMPONENT_ORDER = ("alpha", "beta", "eta", "xi")
-
-
 @dataclass
 class SingularReport:
     normalized: SurfaceJet
@@ -172,8 +167,7 @@ def normalize_singular_jet(surface: SurfaceJet, t: TypeData) -> SingularReport:
     if not surface.f_part(model).up_to_weight(t.k).is_zero():
         raise ValueError("jet is not in the reduced bottom-row shape")
     current, transform, eliminated = _normalize_weights(
-        surface, model, lambda nu: allowed_monomials(nu, t),
-        SINGULAR_COMPONENT_ORDER)
+        surface, model, lambda nu: allowed_monomials(nu, t))
     report = SingularReport(normalized=current, transform=transform,
                             type_data=t, eliminated_by_weight=eliminated)
     report.ok = is_singular_normal(current, t)

@@ -2,15 +2,15 @@
 transformation of a jet under a map.
 
 Maps respect the product structure: (X, Y) depend only on (x, y) and (A, B)
-only on (a, b).  Applying a map to a jet is done by series inversion and an
-implicit solve.  A map that keeps the weight filtration of the jet's grading
-(every near-identity normalization step does) is applied in that grading; one
-that breaks it, such as the preliminary A = ga a + pb(b), is applied in the
-unit (total-degree) grading, where every origin-preserving map keeps the
-filtration, and the result is re-truncated in the jet's own grading.
+only on (a, b).  A jet is normalized in two stages, in the manner of
+Chern-Moser.  The preliminary reduction `_preliminary` absorbs the pure
+series and scales the leading coefficients in closed form, in the unit
+(total-degree) grading.  Every later step is a map whose weight-preserving
+part is the identity in the jet's own grading, and `apply_map` accepts only
+such maps: it solves one fixed point on the defining identity
+Y(x, F) = F*(A, B, X(x, F)).
 
-The regular and singular cases share two procedures built on `apply_map`:
-the preliminary reduction `_preliminary` and the weight-by-weight
+The regular and singular cases share `_preliminary` and the weight-by-weight
 normalization loop `_normalize_weights`.
 """
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cmoperator as cm
-from .poly import Poly, Grading, UNIT, VAR_INDEX, mono_exps
+from .poly import Poly, Grading, UNIT, mono_exps
 from .series import SolveError, implicit_solve
 
 
@@ -90,9 +90,6 @@ class PointMap:
         return PointMap(*(c.with_grading(grading, order) for c in
                           (self.Xc, self.Yc, self.Ac, self.Bc)))
 
-    def to_unit(self, order: int) -> "PointMap":
-        return self.with_grading(UNIT, order)
-
     def compose(self, first: "PointMap") -> "PointMap":
         """self after `first` (as maps of the space)."""
         sub_xy = {"x": first.Xc, "y": first.Yc}
@@ -143,109 +140,89 @@ def invert_pair(P: Poly, Q: Poly, variables: tuple) -> tuple:
     return state
 
 
-def _respects_filtration(surface: SurfaceJet, pmap: PointMap) -> bool:
-    """True when the map and the surface's y = F keep the weight filtration
-    of the jet's grading: each substituted series has weighted order at least
-    the weight of the variable it replaces."""
-    g = surface.grading
-    if pmap.Xc.grading != g:
-        return False
-    pairs = (("x", pmap.Xc), ("y", pmap.Yc), ("a", pmap.Ac), ("b", pmap.Bc),
-             ("y", surface.F))
-    for var, series in pairs:
-        mw = series.min_weight()
-        if mw is not None and mw < g.weight_of(var):
-            return False
-    return True
-
-
 def apply_map(surface: SurfaceJet, pmap: PointMap) -> SurfaceJet:
-    """Transform y = F(a, b, x) by the map; returns the new jet F* with
-    Y = F*(A, B, X) on the image.  The defining identity is re-checked by
-    full substitution before returning.
+    """Transform y = F(a, b, x) by a near-identity map; returns the new jet
+    F* with Y = F*(A, B, X) on the image.
 
-    Computed in the jet's own grading when the map respects its weight
-    filtration, and otherwise in the unit grading (truncation by total
-    degree), where every origin-preserving map does."""
+    The map must be in the jet's grading, each component minus its variable
+    must have weighted order above that variable's weight, and F must have
+    weighted order at least the weight of y; otherwise MapError.  Then
+    u -> u(A, B, X(x, F)) - u raises weights, and F* is the fixed point of
+    u = Y(x, F) - (u(A, B, X(x, F)) - u).  The solver's residual check at
+    the jet's order is the defining identity Y(x, F) = F*(A, B, X(x, F)).
+    """
     g, L = surface.grading, surface.order
-    h = g if _respects_filtration(surface, pmap) else UNIT
-    F = surface.F.with_grading(h, L)
-    m = pmap.with_grading(h, L)
-
-    ua, ub = invert_pair(m.Ac, m.Bc, ("a", "b"))
-    ux, uy = invert_pair(m.Xc, m.Yc, ("x", "y"))
-
-    d = uy.coeff(mono_exps(y=1))
-    uy_rest = uy - Poly.var("y", h, L) * d
-    inv_d = Fraction(1) / d
-    F_ab = F.substitute({"a": ua, "b": ub}, strict=False)
+    if any(c.grading != g for c in pmap.components().values()):
+        raise MapError("apply_map: the map is not in the jet's grading")
+    m = pmap.with_grading(g, L)
+    for var, c in zip("xyab", (m.Xc, m.Yc, m.Ac, m.Bc)):
+        mw = (c - Poly.var(var, g, L)).min_weight()
+        if mw is not None and mw <= g.weight_of(var):
+            raise MapError(f"apply_map: the {var}-component is not the identity "
+                           f"plus terms of weight > {g.weight_of(var)}")
+    F = surface.F
+    mw = F.min_weight()
+    if mw is not None and mw < g.weight_of("y"):
+        raise MapError(f"apply_map: F has weighted order {mw} < "
+                       f"{g.weight_of('y')}, the weight of y")
+    on_surface = {"y": F}
+    y_val = m.Yc.substitute(on_surface)
+    image = {"a": m.Ac, "b": m.Bc, "x": m.Xc.substitute(on_surface)}
 
     def rhs(u: Poly) -> Poly:
-        x_old = ux.substitute({"y": u}, strict=False)
-        f_val = F_ab.substitute({"x": x_old}, strict=False)
-        return (f_val - uy_rest.substitute({"y": u}, strict=False)) * inv_d
+        return y_val - (u.substitute(image) - u)
 
-    u = implicit_solve(rhs, Poly.zero(h, L), L)
-
-    # verify: Yc(x, F) == u(Ac, Bc, Xc(x, F)) identically at order L
-    on_surface = {"y": F}
-    lhs = m.Yc.substitute(on_surface, strict=False)
-    rhs_check = u.substitute({"a": m.Ac, "b": m.Bc,
-                              "x": m.Xc.substitute(on_surface, strict=False)},
-                             strict=False)
-    if lhs != rhs_check:
-        raise SolveError("apply_map: transformed equation failed verification")
-    return SurfaceJet(u.with_grading(g, L))
-
-
-def _pure_series(F: Poly, var: str) -> Poly:
-    """The part of F supported on powers of a single variable (degree >= 1)."""
-    i = VAR_INDEX[var]
-    return Poly({exps: c for exps, c in F.terms.items()
-                 if exps[i] >= 1 and sum(exps) == exps[i]}, F.grading, F.order)
+    return SurfaceJet(implicit_solve(rhs, Poly.zero(g, L), L))
 
 
 def _preliminary(surface: SurfaceJet, leading) -> tuple:
     """The preliminary reduction shared by the regular and singular cases,
-    computed in the unit grading, where its maps keep the filtration.
+    in closed form in the unit grading, where its maps keep the filtration.
 
-    Kills the pure-x and pure-b series and scales a to coefficient 1.  Then
-    `leading(F)` names the leading mixed monomial b^m x^n of the result, or
-    raises if F has the wrong shape, and its coefficient c is scaled to 1:
-    by b* = c b when m = 1.  For m > 1 the b-scaling alone cannot reach 1
-    over the rationals; y* = y/c, a* = a/c divides the whole bottom row by c.
-    Returns (F, map, (m, n)) with F and the map in the unit grading.
+    With ga = F_a(0), P(x) = F(0, 0, x) and a0(b) the root of
+    F(a0(b), b, 0) = 0, the map (x, y - P, ga (a - a0(b)), b) takes F to
+    F* = F(a/ga + a0(b), b, x) - P(x), which has no pure-x or pure-b series
+    and coefficient 1 on a.  Then `leading(F*)` names the leading mixed
+    monomial b^m x^n, or raises if F* has the wrong shape, and its
+    coefficient c is scaled to 1: by b* = c b when m = 1.  For m > 1 the
+    b-scaling alone cannot reach 1 over the rationals; y* = y/c, a* = a/c
+    divides the whole bottom row by c.  Both the shape and the defining
+    identity Y(x, F) = F*(A, B, X(x, F)) are re-checked exactly.
+    Returns (F*, map, (m, n)) with F* and the map in the unit grading.
     """
     L = surface.order
     F = surface.F.with_grading(UNIT, L)
-    if F.coeff(mono_exps(a=1)) == 0:
+    ga = F.coeff(mono_exps(a=1))
+    if ga == 0:
         raise MapError("not a graph over a: F_a(0) = 0")
-    total = PointMap.identity(UNIT, L)
+    if F.constant_term() != 0:
+        raise MapError("the surface does not pass through the origin: F(0) != 0")
     x, y, a, b = (Poly.var(v, UNIT, L) for v in "xyab")
+    P = F.set_zero("a", "b")
+    # a0 = -(F(a0, b, 0) - ga a0) / ga; the right side has no linear a term
+    G = (F.set_zero("x") - a * ga) * (Fraction(-1) / ga)
+    a0 = implicit_solve(lambda s: G.substitute({"a": s}), Poly.zero(UNIT, L), L)
+    Fs = F.substitute({"a": a * (Fraction(1) / ga) + a0}) - P
+    Yc, Ac, Bc = y - P, (a - a0) * ga, b
 
-    def apply(step: PointMap):
-        nonlocal F, total
-        F = apply_map(SurfaceJet(F), step).F
-        total = step.compose(total)
-
-    for _ in range(L + 2):
-        px, pb = _pure_series(F, "x"), _pure_series(F, "b")
-        ga = F.coeff(mono_exps(a=1))
-        if px.is_zero() and pb.is_zero() and ga == 1:
-            break
-        apply(PointMap(x, y - px, a * ga + pb, b))
-    else:
-        raise SolveError("preliminary reduction did not terminate")
-
-    m, n = leading(F)
-    c = F.coeff(mono_exps(b=m, x=n))
+    m, n = leading(Fs)
+    c = Fs.coeff(mono_exps(b=m, x=n))
     if c != 1:
+        inv = Fraction(1) / c
         if m == 1:
-            apply(PointMap(x, y, a, b * c))
+            Fs, Bc = Fs.substitute({"b": b * inv}), b * c
         else:
-            inv = Fraction(1) / Fraction(c.numerator, c.denominator)
-            apply(PointMap(x, y * inv, a * inv, b))
-    return F, total, (m, n)
+            Fs, Yc, Ac = Fs.substitute({"a": a * c}) * inv, Yc * inv, Ac * inv
+
+    if not (Fs.set_zero("a", "b").is_zero() and Fs.set_zero("a", "x").is_zero()
+            and Fs.coeff(mono_exps(a=1)) == 1
+            and Fs.coeff(mono_exps(b=m, x=n)) == 1):
+        raise SolveError("preliminary reduction left a pure series or a "
+                         "coefficient other than 1")
+    if Yc.substitute({"y": F}) != Fs.substitute({"a": Ac, "b": Bc}):
+        raise SolveError("preliminary reduction: transformed equation failed "
+                         "verification")
+    return Fs, PointMap(x, Yc, Ac, Bc), (m, n)
 
 
 def preliminary_reduce(surface: SurfaceJet) -> tuple:
@@ -268,18 +245,16 @@ def preliminary_reduce(surface: SurfaceJet) -> tuple:
     return reduced, total.with_grading(g, L)
 
 
-def _normalize_weights(surface: SurfaceJet, model: Poly, complement,
-                       component_order: tuple) -> tuple:
+def _normalize_weights(surface: SurfaceJet, model: Poly, complement) -> tuple:
     """Weight-by-weight normal form against the graded operator of the model
     y = a + model, shared by the regular and singular cases.
 
     At each weight nu above the grading's type k, `cm.decompose` splits the
     weight-nu part of F - a - model into the operator's image and a part on
-    the monomials `complement(nu)`, pivoting on the field components in
-    `component_order`.  The field that removes the image part is applied as
-    a near-identity map, and the new weight-nu part must equal the predicted
-    normal part.  Returns (normalized jet, map, eliminated monomials by
-    weight).
+    the monomials `complement(nu)`.  The field that removes the image part
+    is applied as a near-identity map, and the new weight-nu part must equal
+    the predicted normal part.  Returns (normalized jet, map, eliminated
+    monomials by weight).
     """
     g, L = surface.grading, surface.order
     current = surface
@@ -289,8 +264,7 @@ def _normalize_weights(surface: SurfaceJet, model: Poly, complement,
         p_nu = current.f_part(model).component(nu)
         if p_nu.is_zero():
             continue
-        v, normal = cm.decompose(p_nu, complement(nu), g, model,
-                                 component_order)
+        v, normal = cm.decompose(p_nu, complement(nu), g, model)
         if v.is_zero():
             continue
         step = PointMap(Poly.var("x", g, L) + v.xi.with_order(L),

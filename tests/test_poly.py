@@ -65,7 +65,6 @@ def test_components_and_weights():
          + Poly.monomial(2, REGULAR, 8, b=2, x=2)
          + Poly.monomial(1, REGULAR, 8, a=2, b=1, x=1))
     assert p.min_weight() == 2
-    assert p.max_weight() == 6
     assert p.component(4) == Poly.monomial(2, REGULAR, 8, b=2, x=2)
     assert p.up_to_weight(4) == p.component(2) + p.component(4)
     ws = [w for w, _ in p.weighted_components()]
