@@ -9,6 +9,8 @@ every operation in the package is exact.
 Products and substitutions put each operand over one common denominator and
 accumulate integer numerators; each output coefficient is formed once, as a
 rational, from its numerator sum over the common denominator of the result.
+A `Substitution` checks its series once and caches the integer products of
+their powers across calls, for callers that substitute into many polys.
 
 Truncation convention: a polynomial of order L keeps terms of weight <= L and
 silently discards anything heavier.  Arithmetic is closed under this rule.
@@ -376,79 +378,8 @@ class Poly:
     # ---- substitution -------------------------------------------------
 
     def substitute(self, subs: Mapping[str, "Poly"], strict: bool = True) -> "Poly":
-        """Formal composition, truncated.
-
-        Each substituted series must have weighted order >= the weight of the
-        variable it replaces; otherwise truncation of the inputs is not sound
-        and a SubstitutionError is raised (bypass only via strict=False, for
-        callers that manage degrees themselves).
-        """
-        g = self.grading
-        order = self.order
-        for v, s in subs.items():
-            if s.grading != g:
-                raise GradingError("substituted series has a different grading")
-            order = min(order, s.order)
-            mw = s.min_weight()
-            if strict and mw is not None and mw < g.weight_of(v):
-                raise SubstitutionError(
-                    f"substitution for {v} has weight {mw} < {g.weight_of(v)}")
-        sub_idx = [(VAR_INDEX[v], subs[v].with_order(order)) for v in subs]
-        sub_idx.sort()
-        factors = [s._integer_items() for _, s in sub_idx]
-        weight = g.weight
-        # integer forms of the products of the substituted series, cached by
-        # the exponent pattern restricted to the substituted variables; shared
-        # prefixes hit the cache
-        prod_cache: dict = {(0,) * len(sub_idx): (1, [(0, ZERO_EXPS, 1)])}
-
-        def sub_product(key: tuple) -> tuple:
-            p = prod_cache.get(key)
-            if p is not None:
-                return p
-            pos = max(j for j, e in enumerate(key) if e)
-            prev = key[:pos] + (key[pos] - 1,) + key[pos + 1:]
-            d, acc = _integer_product(sub_product(prev), factors[pos], order)
-            p = d, sorted((weight(e), e, n) for e, n in acc.items())
-            prod_cache[key] = p
-            return p
-
-        sub_positions = [i for i, _ in sub_idx]
-        # every term of a substituted series weighs at least its min weight,
-        # so a term whose lightest possible image is above the order is
-        # skipped; a zero series annihilates every term that uses it
-        gaps = []
-        for i, s in sub_idx:
-            mw = s.min_weight()
-            gaps.append(order + 1 if mw is None else mw - g.weights[i])
-        live = []
-        for exps, c in self.terms.items():
-            key = tuple(exps[i] for i in sub_positions)
-            low = weight(exps)
-            for e, gap in zip(key, gaps):
-                if e:
-                    low += e * gap
-            if low > order:
-                continue
-            shift = tuple(0 if i in sub_positions else e
-                          for i, e in enumerate(exps))
-            live.append((shift, c, sub_product(key)))
-        # accumulate integer numerators over one common denominator, as in
-        # __mul__; product terms come sorted by weight
-        den = 1
-        for _, c, (d, _) in live:
-            den = lcm(den, c.denominator * d)
-        out: dict = {}
-        for shift, c, (d, items) in live:
-            scale = c.numerator * (den // (c.denominator * d))
-            room = order - weight(shift)
-            for w, pe, n in items:
-                if w > room:
-                    break
-                ne = (pe[0] + shift[0], pe[1] + shift[1], pe[2] + shift[2],
-                      pe[3] + shift[3], pe[4] + shift[4])
-                out[ne] = out.get(ne, 0) + scale * n
-        return Poly._raw({e: RAT(n, den) for e, n in out.items() if n}, g, order)
+        """Formal composition, truncated; see `Substitution`."""
+        return Substitution(subs, self.grading, self.order, strict)(self)
 
     # ---- printing ------------------------------------------------------
 
@@ -485,3 +416,88 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self}, order={self.order})"
+
+
+class Substitution:
+    """Formal composition p -> p(subs), truncated at the least of `order` and
+    the orders of the series; reusable, with the products of the series'
+    powers cached across calls.  Each series must have weighted order >= the
+    weight of the variable it replaces, or truncation is not sound and
+    SubstitutionError is raised (bypass only via strict=False, for callers
+    that manage degrees themselves).  On a Poly of at most the order, a call
+    returns exactly `poly.substitute(subs, strict)`."""
+
+    __slots__ = ("grading", "order", "positions", "factors", "gaps", "_products")
+
+    def __init__(self, subs: Mapping[str, Poly], grading: Grading, order: int,
+                 strict: bool = True):
+        g = grading
+        for v, s in subs.items():
+            if s.grading != g:
+                raise GradingError("substituted series has a different grading")
+            order = min(order, s.order)
+            mw = s.min_weight()
+            if strict and mw is not None and mw < g.weight_of(v):
+                raise SubstitutionError(
+                    f"substitution for {v} has weight {mw} < {g.weight_of(v)}")
+        sub_idx = sorted((VAR_INDEX[v], s.with_order(order))
+                         for v, s in subs.items())
+        self.grading, self.order = g, order
+        self.positions = tuple(i for i, _ in sub_idx)
+        self.factors = [s._integer_items() for _, s in sub_idx]
+        # every term of a substituted series weighs at least its min weight,
+        # so a term whose lightest possible image is above the order is
+        # skipped; a zero series annihilates every term that uses it
+        self.gaps = tuple(order + 1 if s.is_zero() else s.min_weight() - g.weights[i]
+                          for i, s in sub_idx)
+        self._products = {(0,) * len(sub_idx): (1, [(0, ZERO_EXPS, 1)])}
+
+    def product(self, key: tuple) -> tuple:
+        """Integer form (d, [(weight, exps, n)]), sorted by weight, of the
+        product of the series to the powers `key`, truncated at the order."""
+        p = self._products.get(key)
+        if p is None:
+            # shared prefixes hit the cache
+            pos = max(j for j, e in enumerate(key) if e)
+            prev = key[:pos] + (key[pos] - 1,) + key[pos + 1:]
+            d, acc = _integer_product(self.product(prev), self.factors[pos],
+                                      self.order)
+            weight = self.grading.weight
+            p = d, sorted((weight(e), e, n) for e, n in acc.items())
+            self._products[key] = p
+        return p
+
+    def __call__(self, poly: Poly) -> Poly:
+        g = self.grading
+        if poly.grading != g:
+            raise GradingError("substituted series has a different grading")
+        order = min(self.order, poly.order)
+        weight = g.weight
+        positions, gaps, products = self.positions, self.gaps, self._products
+        live = []
+        for exps, c in poly.terms.items():
+            key = tuple(exps[i] for i in positions)
+            low = weight(exps)
+            for e, gap in zip(key, gaps):
+                if e:
+                    low += e * gap
+            if low > order:
+                continue
+            shift = tuple(0 if i in positions else e
+                          for i, e in enumerate(exps))
+            p = products.get(key)
+            live.append((shift, c, p if p is not None else self.product(key)))
+        # accumulate integer numerators over one common denominator, as in
+        # Poly.__mul__; product terms come sorted by weight
+        den = lcm(*(c.denominator * d for _, c, (d, _) in live))
+        out: dict = {}
+        for shift, c, (d, items) in live:
+            scale = c.numerator * (den // (c.denominator * d))
+            room = order - weight(shift)
+            for w, pe, n in items:
+                if w > room:
+                    break
+                ne = (pe[0] + shift[0], pe[1] + shift[1], pe[2] + shift[2],
+                      pe[3] + shift[3], pe[4] + shift[4])
+                out[ne] = out.get(ne, 0) + scale * n
+        return Poly._raw({e: RAT(n, den) for e, n in out.items() if n}, g, order)

@@ -7,8 +7,9 @@ Chern-Moser.  The preliminary reduction `_preliminary` absorbs the pure
 series and scales the leading coefficients in closed form, in the unit
 (total-degree) grading.  Every later step is a map whose weight-preserving
 part is the identity in the jet's own grading, and `apply_map` accepts only
-such maps: it solves one fixed point on the defining identity
-Y(x, F) = F*(A, B, X(x, F)).
+such maps: one triangular pass over a shared `Substitution` solves the
+defining identity Y(x, F) = F*(A, B, X(x, F)), and an independent
+re-substitution checks it.
 
 The regular and singular cases share `_preliminary` and the weight-by-weight
 normalization loop `_normalize_weights`.
@@ -18,9 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import cmoperator as cm
-from .poly import Poly, Grading, UNIT, mono_exps
+from .poly import RAT, Poly, Grading, Substitution, UNIT, mono_exps
 from .series import SolveError, implicit_solve
 
 
@@ -92,12 +94,12 @@ class PointMap:
 
     def compose(self, first: "PointMap") -> "PointMap":
         """self after `first` (as maps of the space)."""
-        sub_xy = {"x": first.Xc, "y": first.Yc}
-        sub_ab = {"a": first.Ac, "b": first.Bc}
-        return PointMap(self.Xc.substitute(sub_xy, strict=False),
-                        self.Yc.substitute(sub_xy, strict=False),
-                        self.Ac.substitute(sub_ab, strict=False),
-                        self.Bc.substitute(sub_ab, strict=False))
+        g = self.Xc.grading
+        xy = Substitution({"x": first.Xc, "y": first.Yc}, g,
+                          max(self.Xc.order, self.Yc.order), strict=False)
+        ab = Substitution({"a": first.Ac, "b": first.Bc}, g,
+                          max(self.Ac.order, self.Bc.order), strict=False)
+        return PointMap(xy(self.Xc), xy(self.Yc), ab(self.Ac), ab(self.Bc))
 
 
 class MapError(ValueError):
@@ -147,9 +149,11 @@ def apply_map(surface: SurfaceJet, pmap: PointMap) -> SurfaceJet:
     The map must be in the jet's grading, each component minus its variable
     must have weighted order above that variable's weight, and F must have
     weighted order at least the weight of y; otherwise MapError.  Then
-    u -> u(A, B, X(x, F)) - u raises weights, and F* is the fixed point of
-    u = Y(x, F) - (u(A, B, X(x, F)) - u).  The solver's residual check at
-    the jet's order is the defining identity Y(x, F) = F*(A, B, X(x, F)).
+    image(e) = e(A, B, X(x, F)) is e plus heavier terms, and one triangular
+    pass fixes F* weight by weight: its weight-w part is that of Y(x, F)
+    less c (image(e) - e) for each term c e fixed at a lighter weight, read
+    from the product cache of one `Substitution`.  A fresh substitution then
+    re-checks Y(x, F) = F*(A, B, X(x, F)) at the jet's order, or SolveError.
     """
     g, L = surface.grading, surface.order
     if any(c.grading != g for c in pmap.components().values()):
@@ -165,14 +169,37 @@ def apply_map(surface: SurfaceJet, pmap: PointMap) -> SurfaceJet:
     if mw is not None and mw < g.weight_of("y"):
         raise MapError(f"apply_map: F has weighted order {mw} < "
                        f"{g.weight_of('y')}, the weight of y")
-    on_surface = {"y": F}
-    y_val = m.Yc.substitute(on_surface)
-    image = {"a": m.Ac, "b": m.Bc, "x": m.Xc.substitute(on_surface)}
-
-    def rhs(u: Poly) -> Poly:
-        return y_val - (u.substitute(image) - u)
-
-    return SurfaceJet(implicit_solve(rhs, Poly.zero(g, L), L))
+    on_surface = Substitution({"y": F}, g, L)
+    y_val = on_surface(m.Yc)
+    subs = {"a": m.Ac, "b": m.Bc, "x": on_surface(m.Xc)}
+    image = Substitution(subs, g, L)
+    # Y(x, F) less c (image(e) - e) for each term c e of F* fixed so far,
+    # as integer numerators over the common denominator D
+    D, items = y_val._integer_items()
+    rest = {e: n for _, e, n in items}
+    solved: dict = {}
+    for w in range(L + 1):
+        fixed = [(e, RAT(n, D)) for e, n in rest.items() if n and g.weight(e) == w]
+        solved.update(fixed)
+        if w == L or not fixed:
+            continue
+        # F* is a series in the substituted variables (a, b, x)
+        batch = [(c, image.product(e[:3])) for e, c in fixed]
+        den = lcm(D, *(c.denominator * d for c, (d, _) in batch))
+        if den != D:
+            rest = {e: n * (den // D) for e, n in rest.items()}
+            D = den
+        for c, (d, items) in batch:
+            scale = c.numerator * (D // (c.denominator * d))
+            for pw, pe, n in items:
+                if pw > w:
+                    rest[pe] = rest.get(pe, 0) - scale * n
+    F_star = Poly._raw(solved, g, L)
+    residual = y_val - F_star.substitute(subs)
+    if not residual.is_zero():
+        raise SolveError("apply_map: defining identity fails at weight "
+                         f"{residual.min_weight()}")
+    return SurfaceJet(F_star)
 
 
 def _preliminary(surface: SurfaceJet, leading) -> tuple:

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from paracr.poly import (Poly, Grading, REGULAR, UNIT, singular_grading,
-                         GradingError, SubstitutionError, mono_exps)
+from paracr.cmoperator import weighted_monomials
+from paracr.poly import (Poly, Grading, REGULAR, UNIT, VARS, VAR_INDEX,
+                         singular_grading, GradingError, Substitution,
+                         SubstitutionError, mono_exps)
 
 
 def P(terms, g=REGULAR, order=8):
@@ -129,3 +132,91 @@ def test_scalar_ops():
     assert 2 * b == b + b
     assert b * Fraction(1, 2) + b * Fraction(1, 2) == b
     assert (1 - b).constant_term() == 1
+
+
+coefs = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def polys(draw, g, order: int, lo: int, hi: int, max_terms: int = 4,
+          min_terms: int = 0) -> Poly:
+    """Random nonzero terms of weight lo..hi in all five variables; a term
+    above `order` is dropped on construction."""
+    monos = [e for w in range(lo, hi + 1) for e in weighted_monomials(w, VARS, g)]
+    if not monos:
+        return Poly.zero(g, order)
+    exps = draw(st.lists(st.sampled_from(monos), min_size=min_terms,
+                         max_size=max_terms, unique=True))
+    return Poly({e: draw(coefs.filter(bool)) for e in exps}, g, order)
+
+
+@st.composite
+def substitutions(draw):
+    """(subs, grading, order, strict).  Strict series have weighted order at
+    least that of their variable.  A non-strict case holds a series with a
+    term below its variable's weight, a zero series, and a series without
+    its linear term that raises weights, so that some terms have images
+    wholly above the order and are skipped."""
+    g = draw(st.sampled_from([REGULAR, UNIT, singular_grading(3)]))
+    L = draw(st.integers(2, 6))
+    strict = draw(st.booleans())
+    names = draw(st.lists(st.sampled_from(VARS), min_size=1 if strict else 3,
+                          max_size=3, unique=True))
+    subs = {}
+    for i, v in enumerate(names):
+        order = draw(st.integers(L - 1, L + 1))
+        w = g.weight_of(v)
+        if strict:
+            s = draw(polys(g, order, w, order))
+        elif i == 0:
+            s = (draw(polys(g, order, 0, min(w - 1, order), 1, 1))
+                 + draw(polys(g, order, w, order, 2)))
+            assert s.min_weight() < w
+        elif i == 1:
+            s = Poly.zero(g, order)
+        else:
+            s = Poly.var(v, g, order) ** 2 + draw(polys(g, order, 2 * w + 1, order))
+        subs[v] = s
+    return subs, g, L, strict
+
+
+@settings(max_examples=60, deadline=None)
+@given(substitutions(), st.data())
+def test_substitution_reused_matches_fresh(case, data):
+    subs, g, L, strict = case
+    sub = Substitution(subs, g, L, strict)
+    assert sub.order == min([L] + [s.order for s in subs.values()])
+    for _ in range(3):
+        order = data.draw(st.integers(0, sub.order))
+        p = data.draw(polys(g, order, 0, order + 1, 6))
+        got, fresh = sub(p), p.substitute(subs, strict)
+        assert got == fresh and got.order == fresh.order == order
+
+
+def sympy_compose(p: Poly, subs: dict) -> dict:
+    """p(subs) by sympy, expanded and truncated at p's order by weight."""
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(VARS)
+
+    def expr(q: Poly):
+        return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                           * sympy.Mul(*(t ** e for t, e in zip(syms, exps)))
+                           for exps, c in q.terms.items()))
+
+    images = {syms[VAR_INDEX[v]]: expr(s) for v, s in subs.items()}
+    composed = sympy.expand(expr(p).subs(images, simultaneous=True))
+    return {exps: Fraction(int(c.p), int(c.q))
+            for exps, c in sympy.Poly(composed, *syms).terms()
+            if c != 0 and p.grading.weight(exps) <= p.order}
+
+
+@settings(max_examples=40, deadline=None)
+@given(substitutions(), st.data())
+def test_substitution_matches_sympy(case, data):
+    pytest.importorskip("sympy")
+    subs, g, L, strict = case
+    sub = Substitution(subs, g, L, strict)
+    for _ in range(2):
+        order = data.draw(st.integers(0, sub.order))
+        p = data.draw(polys(g, order, 0, order + 1))
+        assert sub(p).terms == sympy_compose(p, subs)

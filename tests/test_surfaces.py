@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paracr import surfaces
 from paracr.cmoperator import weighted_monomials
-from paracr.poly import Poly, REGULAR, UNIT, mono_exps, singular_grading
+from paracr.poly import (Poly, REGULAR, UNIT, Substitution, mono_exps,
+                         singular_grading)
+from paracr.series import SolveError, implicit_solve
 from paracr.singnorm import prelim_reduce_singular
 from paracr.surfaces import (MapError, PointMap, SurfaceJet, apply_map,
                              invert_pair, preliminary_reduce)
@@ -115,6 +118,31 @@ def test_apply_map_identity():
     assert apply_map(S, PointMap.identity(REGULAR, 8)).F == S.F
 
 
+def test_apply_map_identity_check_is_live(monkeypatch):
+    # a product cache read by the triangular pass, with one wrong
+    # coefficient: image(a) = a + 2ab instead of a + ab
+    g, L = REGULAR, 8
+    S = random_regular_jet(random.Random(12))
+    m = PointMap(var("x"), var("y"), var("a") + Poly.monomial(1, g, L, a=1, b=1),
+                 var("b"))
+    assert satisfies_identity(S.F, m, apply_map(S, m).F)
+    ab = mono_exps(a=1, b=1)
+
+    class WrongProduct(Substitution):
+        __slots__ = ()
+
+        def product(self, key):
+            d, items = super().product(key)
+            if key != (1, 0, 0):
+                return d, items
+            return d, [(w, e, n + d if e == ab else n) for w, e, n in items]
+
+    monkeypatch.setattr(surfaces, "Substitution", WrongProduct)
+    with pytest.raises(SolveError,
+                       match="apply_map: defining identity fails at weight 3"):
+        apply_map(S, m)
+
+
 def test_preliminary_reduce_examples():
     g, L = UNIT, 8
     F = (Poly.monomial(2, g, L, a=1) + Poly.monomial(3, g, L, b=1)
@@ -205,6 +233,14 @@ def test_apply_map_identity_and_functoriality(case):
     S, m1, m2 = case
     once = apply_map(S, m1)
     assert satisfies_identity(S.F, m1, once.F)
+    # the fixed point of u = Y(x, F) - (u(A, B, X(x, F)) - u), by the
+    # series solver: the formulation the triangular pass replaces
+    on_surface = {"y": S.F}
+    y_val = m1.Yc.substitute(on_surface)
+    image = {"a": m1.Ac, "b": m1.Bc, "x": m1.Xc.substitute(on_surface)}
+    fixed_point = implicit_solve(lambda u: y_val - (u.substitute(image) - u),
+                                 Poly.zero(S.grading, S.order), S.order)
+    assert once.F == fixed_point
     twice = apply_map(once, m2)
     assert satisfies_identity(once.F, m2, twice.F)
     assert apply_map(S, m2.compose(m1)).F == twice.F
