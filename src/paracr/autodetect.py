@@ -40,8 +40,8 @@ def apply_field(chi: VField, surface) -> TangencyResidual:
     F = surface.F
     g, L = F.grading, F.order
     on_surface = {"y": F}
-    eta = chi.eta.with_order(L).substitute(on_surface, strict=False)
-    xi = chi.xi.with_order(L).substitute(on_surface, strict=False)
+    eta = chi.eta.with_order(L).substitute(on_surface)
+    xi = chi.xi.with_order(L).substitute(on_surface)
     res = (eta
            - chi.alpha.with_order(L) * F.partial("a").with_order(L)
            - chi.beta.with_order(L) * F.partial("b").with_order(L)

@@ -22,7 +22,8 @@ import sys
 from fractions import Fraction
 
 from . import autodetect, cmoperator, odebridge, regnorm, singnorm
-from .poly import Poly, REGULAR, UNIT, VARS, format_monomial, singular_grading
+from .poly import Poly, REGULAR, UNIT, VARS, SubstitutionError, \
+    format_monomial, singular_grading
 from .series import SolveError
 from .surfaces import MapError, PointMap, SurfaceJet, preliminary_reduce
 
@@ -228,10 +229,20 @@ def _read_input(args, grading, default_order: int = DEFAULT_REGULAR_ORDER,
 
 
 def _finite_type(F: Poly) -> singnorm.TypeData:
-    t = singnorm.finite_type(SurfaceJet(F), F.order)
+    t = singnorm.finite_type(SurfaceJet(F))
     if t is None:
         raise MapError("no mixed term found; type undetermined at this order")
     return t
+
+
+def _compose_exact(transform: PointMap, pre: PointMap) -> PointMap:
+    """`transform` after `pre`, in their type-k grading if `pre` keeps its
+    filtration, else in the unit grading through degree L // k."""
+    try:
+        return transform.compose(pre)
+    except SubstitutionError:
+        d = transform.Xc.order // transform.Xc.grading.type_k
+        return transform.with_grading(UNIT, d).compose(pre.with_grading(UNIT, d))
 
 
 def cmd_tables(args) -> int:
@@ -266,7 +277,7 @@ def cmd_normalize(args) -> int:
         rep = regnorm.geometric_normalize(reduced)
     else:
         rep = regnorm.normalize_jet(reduced)
-    transform = rep.transform.compose(pre)
+    transform = _compose_exact(rep.transform, pre)
     report = {
         "normalized": {"text": str(rep.normalized.F),
                        "terms": poly_json(rep.normalized.F)},
@@ -289,7 +300,7 @@ def cmd_normalize_singular(args) -> int:
     F = _read_input(args, UNIT, t.k + 6)
     reduced, pre, t = singnorm.prelim_reduce_singular(SurfaceJet(F))
     rep = singnorm.normalize_singular_jet(reduced, t)
-    transform = rep.transform.compose(pre)
+    transform = _compose_exact(rep.transform, pre)
     report = {
         "type": {"k": t.k, "m": t.m, "n": t.n,
                  "gammas": [str(c) for c in t.gammas]},
@@ -308,7 +319,7 @@ def cmd_normalize_singular(args) -> int:
 
 def cmd_type(args) -> int:
     F = _read_input(args, UNIT)
-    t = singnorm.finite_type(SurfaceJet(F), F.order)
+    t = singnorm.finite_type(SurfaceJet(F))
     if t is None:
         report = {"verdict": "undetermined", "maxOrder": F.order}
         emit(report, args.json,

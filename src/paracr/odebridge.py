@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Poly, UNIT, VAR_INDEX
+from .poly import Poly, Substitution, UNIT, VAR_INDEX
 from .series import SolveError, implicit_solve, ode_solve
 
 
@@ -83,41 +83,36 @@ def eliminate_initial_conditions(surface) -> EliminationData:
     """Solve y = a + c bx + f, p = c b + f_x for a(x, y, p), b(x, y, p),
     where c != 0 is the coefficient of bx in F and f holds degree 2 and up.
 
-    Each sweep sets b <- (p - f_x(a, b)) / c, then a <- y - c b x - f(a, b).
-    The truncation grows one degree per sweep; then sweeps at full order run
-    until the state is fixed (b can settle a degree after a, when f_x has a
-    term linear in a).  phi is (integral of b in x) - x p as for c = 1, so
-    for c != 1 it starts with (1/c - 1) x p."""
+    One pass per degree w sets a <- y - c b x - f(a, b), then
+    b <- (p - f_x(a, b)) / c from the new a.  The degree-w part of a reads
+    only lighter parts of a and b, and that of b reads a through degree w
+    (f_x has no term linear in b), so each pass settles both at degree w.
+    Both identities are then re-checked exactly, or SolveError.  phi is
+    (integral of b in x) - x p as for c = 1, so for c != 1 it starts with
+    (1/c - 1) x p."""
     L = surface.order
     F = surface.F.with_grading(UNIT, L)
-    x = Poly.var("x", UNIT, L)
-    y = Poly.var("y", UNIT, L)
-    p = Poly.var("p", UNIT, L)
+    x, y, p = (Poly.var(v, UNIT, L) for v in "xyp")
     c = F.coeff_mono(b=1, x=1)
     f = F - Poly.var("a", UNIT, L) - Poly.monomial(c, UNIT, L, b=1, x=1)
     if c == 0 or not f.up_to_weight(1).is_zero():
         raise ValueError("elimination expects the shape a + bx + higher order")
-    # b <- (p - f_x) / c with the division done once, outside the sweeps
+    # b <- (p - f_x) / c with the division done once, outside the passes
     inv_c = 1 / Fraction(c)
     p_c = p * inv_c
-    fx_c = f.partial("x").with_order(L) * inv_c
+    Fx = F.partial("x").with_order(L)
+    fx_c = (Fx - Poly.monomial(c, UNIT, L, b=1)) * inv_c
     cx = x * c
 
-    def sweep(aS: Poly, bS: Poly) -> tuple:
-        b_new = p_c - fx_c.substitute({"a": aS, "b": bS}, strict=False)
-        a_new = y - b_new * cx - f.substitute({"a": aS, "b": b_new}, strict=False)
-        return a_new, b_new
-
-    aS, bS = y, p
+    aS = bS = Poly.zero(UNIT, 0)
     for w in range(1, L + 1):
-        aS, bS = sweep(aS.with_order(w), bS.with_order(w))
-    for _ in range(L + 2):
-        a_new, b_new = sweep(aS, bS)
-        if a_new == aS and b_new == bS:
-            break
-        aS, bS = a_new, b_new
-    else:
-        raise SolveError("elimination of the initial conditions stalled")
+        bS = bS.with_order(w)
+        aS = y - bS * cx - f.substitute({"a": aS.with_order(w), "b": bS})
+        bS = p_c - fx_c.substitute({"a": aS, "b": bS})
+    on_solution = Substitution({"a": aS, "b": bS}, UNIT, L)
+    if on_solution(F) != y or on_solution(Fx) != p:
+        raise SolveError("elimination of the initial conditions fails "
+                         "F(a, b, x) = y or F_x(a, b, x) = p")
 
     phi = bS.integrate("x").with_order(L) - x * p
     return EliminationData(a_series=aS, b_series=bS, phi=phi)
@@ -131,7 +126,7 @@ def surface_to_ode(surface) -> tuple:
     data = eliminate_initial_conditions(surface)
     Fxx = F.partial("x", 2)
     B = Fxx.substitute({"a": data.a_series.with_order(L - 2),
-                        "b": data.b_series.with_order(L - 2)}, strict=False)
+                        "b": data.b_series.with_order(L - 2)})
     return OdeJet(B), data
 
 

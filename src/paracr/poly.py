@@ -2,8 +2,7 @@
 
 Every value in the package is built from these polynomials.  The variable
 universe is fixed to (a, b, x, y, p); a polynomial stores only the exponent
-tuples it actually uses.  All coefficients are exact rationals
-(`gmpy2.mpq` when gmpy2 is installed, `fractions.Fraction` otherwise), so
+tuples it actually uses.  Every coefficient is a `fractions.Fraction`, so
 every operation in the package is exact.
 
 Products and substitutions put each operand over one common denominator and
@@ -11,6 +10,8 @@ accumulate integer numerators; each output coefficient is formed once, as a
 rational, from its numerator sum over the common denominator of the result.
 A `Substitution` checks its series once and caches the integer products of
 their powers across calls, for callers that substitute into many polys.
+Every substitution keeps the weight filtration: a series of weighted order
+below the weight of the variable it replaces raises SubstitutionError.
 
 Truncation convention: a polynomial of order L keeps terms of weight <= L and
 silently discards anything heavier.  Arithmetic is closed under this rule.
@@ -22,12 +23,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping
 
-try:  # gmpy2's mpq is a drop-in exact rational, much faster than Fraction
-    from gmpy2 import mpq as RAT
-except ImportError:  # pragma: no cover
-    RAT = Fraction
-
-_RAT_TYPES = (type(RAT(1)), int, Fraction)
+RAT = Fraction  # perfbench/run.py reports the coefficient type by this name
+_SCALARS = (int, Fraction)
 
 VARS = ("a", "b", "x", "y", "p")
 VAR_INDEX = {v: i for i, v in enumerate(VARS)}
@@ -92,12 +89,10 @@ def singular_grading(k: int) -> Grading:
 
 
 def _as_fraction(c):
-    if type(c) is RAT:
+    if type(c) is Fraction:
         return c
-    if isinstance(c, Fraction):  # gmpy2.mpq does not accept Fraction directly
-        return RAT(c.numerator, c.denominator)
-    if isinstance(c, _RAT_TYPES) or isinstance(c, str):
-        return RAT(c)
+    if isinstance(c, (int, Fraction, str)):
+        return Fraction(c)
     raise TypeError(f"not an exact coefficient: {c!r}")
 
 
@@ -182,7 +177,7 @@ class Poly:
 
     @classmethod
     def var(cls, name: str, grading: Grading, order: int) -> "Poly":
-        return cls({mono_exps(**{name: 1}): RAT(1)}, grading, order)
+        return cls({mono_exps(**{name: 1}): Fraction(1)}, grading, order)
 
     @classmethod
     def monomial(cls, c, grading: Grading, order: int, **exps) -> "Poly":
@@ -194,7 +189,7 @@ class Poly:
         return not self.terms
 
     def coeff(self, exps: tuple) -> Fraction:
-        return self.terms.get(exps, RAT(0))
+        return self.terms.get(exps, Fraction(0))
 
     def coeff_mono(self, **exps) -> Fraction:
         return self.coeff(mono_exps(**exps))
@@ -243,7 +238,7 @@ class Poly:
             raise GradingError(f"grading mismatch: {self.grading} vs {other.grading}")
 
     def __add__(self, other):
-        if isinstance(other, _RAT_TYPES):
+        if isinstance(other, _SCALARS):
             other = Poly.const(other, self.grading, self.order)
         self._check(other)
         order = min(self.order, other.order)
@@ -262,7 +257,7 @@ class Poly:
                          self.grading, self.order)
 
     def __sub__(self, other):
-        if isinstance(other, _RAT_TYPES):
+        if isinstance(other, _SCALARS):
             other = Poly.const(other, self.grading, self.order)
         return self + (-other)
 
@@ -270,7 +265,7 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, _RAT_TYPES):
+        if isinstance(other, _SCALARS):
             c = _as_fraction(other)
             return Poly._raw({e: c * v for e, v in self.terms.items()},
                              self.grading, self.order)
@@ -279,7 +274,7 @@ class Poly:
         g = self.grading
         d, acc = _integer_product(self._integer_items(), other._integer_items(),
                                   order)
-        return Poly._raw({e: RAT(n, d) for e, n in acc.items()}, g, order)
+        return Poly._raw({e: Fraction(n, d) for e, n in acc.items()}, g, order)
 
     __rmul__ = __mul__
 
@@ -297,7 +292,7 @@ class Poly:
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
-            if isinstance(other, _RAT_TYPES):
+            if isinstance(other, _SCALARS):
                 return self.terms == Poly.const(other, self.grading, self.order).terms
             return NotImplemented
         return self.grading == other.grading and self.terms == other.terms
@@ -372,14 +367,14 @@ class Poly:
         new = {}
         for exps, c in self.terms.items():
             if all(exps[i] == 0 for i in idx):
-                new[exps] = new.get(exps, RAT(0)) + c
+                new[exps] = new.get(exps, Fraction(0)) + c
         return Poly(new, self.grading, self.order)
 
     # ---- substitution -------------------------------------------------
 
-    def substitute(self, subs: Mapping[str, "Poly"], strict: bool = True) -> "Poly":
+    def substitute(self, subs: Mapping[str, "Poly"]) -> "Poly":
         """Formal composition, truncated; see `Substitution`."""
-        return Substitution(subs, self.grading, self.order, strict)(self)
+        return Substitution(subs, self.grading, self.order)(self)
 
     # ---- printing ------------------------------------------------------
 
@@ -423,21 +418,20 @@ class Substitution:
     the orders of the series; reusable, with the products of the series'
     powers cached across calls.  Each series must have weighted order >= the
     weight of the variable it replaces, or truncation is not sound and
-    SubstitutionError is raised (bypass only via strict=False, for callers
-    that manage degrees themselves).  On a Poly of at most the order, a call
-    returns exactly `poly.substitute(subs, strict)`."""
+    SubstitutionError is raised; a caller whose map lowers weights composes
+    in a grading where it does not.  On a Poly of at most the order, a call
+    returns exactly `poly.substitute(subs)`."""
 
     __slots__ = ("grading", "order", "positions", "factors", "gaps", "_products")
 
-    def __init__(self, subs: Mapping[str, Poly], grading: Grading, order: int,
-                 strict: bool = True):
+    def __init__(self, subs: Mapping[str, Poly], grading: Grading, order: int):
         g = grading
         for v, s in subs.items():
             if s.grading != g:
                 raise GradingError("substituted series has a different grading")
             order = min(order, s.order)
             mw = s.min_weight()
-            if strict and mw is not None and mw < g.weight_of(v):
+            if mw is not None and mw < g.weight_of(v):
                 raise SubstitutionError(
                     f"substitution for {v} has weight {mw} < {g.weight_of(v)}")
         sub_idx = sorted((VAR_INDEX[v], s.with_order(order))
@@ -500,4 +494,4 @@ class Substitution:
                 ne = (pe[0] + shift[0], pe[1] + shift[1], pe[2] + shift[2],
                       pe[3] + shift[3], pe[4] + shift[4])
                 out[ne] = out.get(ne, 0) + scale * n
-        return Poly._raw({e: RAT(n, den) for e, n in out.items() if n}, g, order)
+        return Poly._raw({e: Fraction(n, den) for e, n in out.items() if n}, g, order)

@@ -113,9 +113,9 @@ def _a_of_xy(f: Poly) -> Poly:
 
 
 def _subst_var(series_in_a: Poly, var: str) -> Poly:
-    """Rename the variable of a univariate series in a to x or y."""
+    """Rename a in a univariate series to y (or a), of the same weight."""
     g, L = series_in_a.grading, series_in_a.order
-    return series_in_a.substitute({"a": Poly.var(var, g, L)}, strict=False)
+    return series_in_a.substitute({"a": Poly.var(var, g, L)})
 
 
 def _step2(f: Poly) -> PointMap:
@@ -181,7 +181,7 @@ def _step7(f: Poly) -> PointMap:
     h = ode_solve(3, ode_rhs, [Fraction(0), Fraction(1), Fraction(0)], "a", g, L)
     hinv = reverse_univariate(h, "a")
     hp = h.partial("a").with_order(L)
-    root_a = sqrt_unit(hp.substitute({"a": hinv}, strict=False))
+    root_a = sqrt_unit(hp.substitute({"a": hinv}))
     root_y = _subst_var(root_a, "y")
     return PointMap(Poly.var("x", g, L) * reciprocal(root_y),
                     _subst_var(hinv, "y"),
@@ -235,25 +235,25 @@ def chain_map(chain: ChainData, grading, order: int) -> PointMap:
                     chain.pi + b * inv_b)
 
 
-def geometric_normalize(surface: SurfaceJet, max_passes: int | None = None) -> NormalFormReport:
+def geometric_normalize(surface: SurfaceJet) -> NormalFormReport:
     """Chain-based normalization of a preliminary-reduced regular jet.
 
     The construction steps each kill their target coefficient while only
     disturbing strictly higher weights, so sweeping them repeatedly converges
-    at jet level; the loop stops as soon as all five conditions hold.
+    at jet level; the loop stops as soon as all five conditions hold, and
+    gives up after L + 2 passes.
     """
     _require_preliminary(surface)
     g, L = surface.grading, surface.order
     current = surface
     transform = PointMap.identity(g, L)
-    passes = max_passes if max_passes is not None else L + 2
 
     def apply(step: PointMap):
         nonlocal current, transform
         current = apply_map(current, step)
         transform = step.compose(transform)
 
-    for _ in range(passes):
+    for _ in range(L + 2):
         if is_normal(current):
             break
         f = current.f_regular()
@@ -274,6 +274,6 @@ def geometric_normalize(surface: SurfaceJet, max_passes: int | None = None) -> N
         apply(_step7(current.f_regular()))
     else:
         raise SolveError("geometric normalization did not reach normal form "
-                         f"within {passes} passes")
+                         f"within {L + 2} passes")
     return NormalFormReport(normalized=current, transform=transform,
                             conditions=check_normal_conditions(current))

@@ -38,15 +38,13 @@ class TypeData:
         return cm.model_poly(grading, order, self.m, self.n, self.gammas)
 
 
-def finite_type(surface: SurfaceJet, lmax: int | None = None) -> TypeData | None:
+def finite_type(surface: SurfaceJet) -> TypeData | None:
     """Smallest k with a nonzero mixed partial d^k F / db^m dx^n at 0 (m, n > 0),
     with m minimal at that k.  Returns None if no mixed term shows up through
-    total degree lmax (undetermined at this truncation)."""
+    the jet's order (undetermined at this truncation)."""
     F = surface.F
     if F.coeff(mono_exps(a=1)) == 0:
         raise MapError("not a graph over a: F_a(0) = 0")
-    if lmax is None:
-        lmax = surface.order
     ib, ix = VAR_INDEX["b"], VAR_INDEX["x"]
     ia, iy = VAR_INDEX["a"], VAR_INDEX["y"]
     best = None
@@ -55,8 +53,6 @@ def finite_type(surface: SurfaceJet, lmax: int | None = None) -> TypeData | None
             continue
         m, n = exps[ib], exps[ix]
         if m == 0 or n == 0:
-            continue
-        if m + n > lmax:
             continue
         if best is None or (m + n, m) < best:
             best = (m + n, m)

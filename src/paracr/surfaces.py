@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import cmoperator as cm
-from .poly import RAT, Poly, Grading, Substitution, UNIT, mono_exps
+from .poly import Poly, Grading, Substitution, UNIT, mono_exps
 from .series import SolveError, implicit_solve
 
 
@@ -93,12 +93,13 @@ class PointMap:
                           (self.Xc, self.Yc, self.Ac, self.Bc)))
 
     def compose(self, first: "PointMap") -> "PointMap":
-        """self after `first` (as maps of the space)."""
+        """self after `first` (as maps of the space), in their grading;
+        SubstitutionError if `first` lowers weights there."""
         g = self.Xc.grading
         xy = Substitution({"x": first.Xc, "y": first.Yc}, g,
-                          max(self.Xc.order, self.Yc.order), strict=False)
+                          max(self.Xc.order, self.Yc.order))
         ab = Substitution({"a": first.Ac, "b": first.Bc}, g,
-                          max(self.Ac.order, self.Bc.order), strict=False)
+                          max(self.Ac.order, self.Bc.order))
         return PointMap(xy(self.Xc), xy(self.Yc), ab(self.Ac), ab(self.Bc))
 
 
@@ -127,8 +128,8 @@ def invert_pair(P: Poly, Q: Poly, variables: tuple) -> tuple:
 
     def sweep(s1: Poly, s2: Poly) -> tuple:
         subs = {v1: s1, v2: s2}
-        r1 = t1 - h1.substitute(subs, strict=False)
-        r2 = t2 - h2.substitute(subs, strict=False)
+        r1 = t1 - h1.substitute(subs)
+        r2 = t2 - h2.substitute(subs)
         return r1 * i11 + r2 * i12, r1 * i21 + r2 * i22
 
     # h1, h2 have no linear part and every weight is >= 1, so the weight-w
@@ -179,7 +180,7 @@ def apply_map(surface: SurfaceJet, pmap: PointMap) -> SurfaceJet:
     rest = {e: n for _, e, n in items}
     solved: dict = {}
     for w in range(L + 1):
-        fixed = [(e, RAT(n, D)) for e, n in rest.items() if n and g.weight(e) == w]
+        fixed = [(e, Fraction(n, D)) for e, n in rest.items() if n and g.weight(e) == w]
         solved.update(fixed)
         if w == L or not fixed:
             continue

@@ -231,10 +231,10 @@ def test_golden_cli_normalize(capsys, name):
     k = 2..5 and both m = 1 and m > 1.  The output must match the golden
     file byte for byte.
 
-    The singular transform is pinned as the CLI prints it today: the
-    preliminary map is composed with the normalizing map in the type-k
-    grading, although it lowers weights there, so its high-weight terms
-    depend on --order.  The normal forms do not."""
+    The printed transform is the normalizing map after the preliminary
+    map, composed in the type-k grading when the preliminary map keeps its
+    filtration, and otherwise (here k = 3, m = 1, whose A = 2a + b^2 lowers
+    weights) in the unit grading through degree L // k."""
     code = cli.main(GOLDEN_NORMALIZE[name] + ["--json"])
     out = capsys.readouterr().out
     assert code == 0

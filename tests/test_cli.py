@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from paracr import cli
-from paracr.poly import Poly, REGULAR, UNIT
+from paracr import cli, singnorm
+from paracr.poly import Poly, REGULAR, UNIT, VARS
 from conftest import random_regular_jet
+from paracr.surfaces import SurfaceJet, preliminary_reduce
+from test_acceptance import GOLDEN_NORMALIZE
 
 
 def run(capsys, *argv):
@@ -239,3 +241,61 @@ def test_input_file_unreadable(capsys, tmp_path):
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert str(path) in lines[0]
+
+
+def _json_poly(terms: list, order: int) -> Poly:
+    """Printed terms as a Poly in the unit grading, cut at degree `order`."""
+    return Poly({tuple(t["exps"].get(v, 0) for v in VARS): Fraction(t["coef"])
+                 for t in terms}, UNIT, order)
+
+
+def _transform_cases():
+    for name, argv in sorted(GOLDEN_NORMALIZE.items()):
+        if name.startswith("normalize_singular"):
+            yield name, argv[0], argv[argv.index("--expr") + 1], \
+                int(argv[argv.index("--order") + 1])
+    yield "regular_linear_terms", "normalize", "2a + 3b + x + bx + x^3", 4
+
+
+def _lowers_weights(pmap) -> bool:
+    g = pmap.Xc.grading
+    return any(c.min_weight() < g.weight_of(v)
+               for v, c in zip("xyab", (pmap.Xc, pmap.Yc, pmap.Ac, pmap.Bc)))
+
+
+@pytest.mark.parametrize("name, command, expr, order",
+                         list(_transform_cases()))
+def test_printed_transform_is_exact(capsys, name, command, expr, order):
+    """With L the order and k the type, the printed map realises the printed
+    normal form, Y(x, F) = N(A, B, X(x, F)), exactly in the unit grading
+    through degree L // k.  When the preliminary map lowers weights in the
+    type-k grading, that degree bounds every printed term.  The A and Y
+    terms printed at one order are printed alike at a higher one."""
+    printed = []
+    for L in (order, order + 2):
+        code, out, err = run(capsys, command, "--order", str(L), "--expr",
+                             expr, "--json")
+        assert code == 0, err
+        rep = json.loads(out)
+        d = L // rep.get("type", {"k": 2})["k"]
+        F = cli.parse_poly(expr, cli.SURFACE_VARS, UNIT, L)
+        if command == "normalize":
+            pre = preliminary_reduce(SurfaceJet(F.with_grading(REGULAR, L)))[1]
+        else:
+            pre = singnorm.prelim_reduce_singular(SurfaceJet(F))[1]
+        if _lowers_weights(pre):
+            for c, m in rep["transform"].items():
+                for t in m["terms"]:
+                    assert sum(t["exps"].values()) <= d, (name, L, c, t)
+        N = _json_poly(rep["normalized"]["terms"], d)
+        X, Y, A, B = (_json_poly(rep["transform"][c]["terms"], d)
+                      for c in "XYAB")
+        on_surface = {"y": F.with_order(d)}
+        assert Y.substitute(on_surface) == N.substitute(
+            {"a": A, "b": B, "x": X.substitute(on_surface)}), (name, L)
+        printed.append({c: {json.dumps(t, sort_keys=True)
+                            for t in rep["transform"][c]["terms"]}
+                        for c in "AY"})
+    low, high = printed
+    for c in "AY":
+        assert low[c] <= high[c], (name, c, sorted(low[c] - high[c]))

@@ -6,6 +6,7 @@ import pytest
 
 from paracr import odebridge as ob
 from paracr.poly import Poly, REGULAR, UNIT, VAR_INDEX
+from paracr.series import SolveError
 from paracr.surfaces import SurfaceJet
 from conftest import random_ode_jet
 
@@ -94,14 +95,13 @@ def test_elimination_leading_data():
     assert data.a_series.coeff_series(x=1) == -p
     assert data.b_series.coeff_series(x=0) == p
     fxx0 = f.partial("x", 2).set_zero("x").substitute(
-        {"a": y.with_order(S.order - 2), "b": p.with_order(S.order - 2)},
-        strict=False)
+        {"a": y.with_order(S.order - 2), "b": p.with_order(S.order - 2)})
     assert data.b_series.coeff_series(x=1).up_to_weight(S.order - 3) == \
         (-fxx0).up_to_weight(S.order - 3)
 
 
 def test_elimination_with_term_linear_in_x():
-    # f_x has a term linear in a, so b settles one degree after a.  F is an
+    # f_x has a term linear in a, so b reads a at its own degree.  F is an
     # exact polynomial, so F_x is known through degree L as well
     L = 8
     F = (Poly.var("a", UNIT, L) + Poly.monomial(1, UNIT, L, b=1, x=1)
@@ -131,6 +131,21 @@ def test_elimination_with_bx_coefficient_not_one():
     assert Fxx == ode.B.substitute({"y": F.with_order(L - 2),
                                     "p": F.partial("x").with_order(L - 2)})
     assert data.phi.coeff_mono(x=1, p=1) == Fraction(-1, 2)
+
+
+def test_elimination_identity_check_is_live(monkeypatch):
+    # a solver whose substitutions drop their top degree must be caught by
+    # the closing check of F(a, b, x) = y and F_x(a, b, x) = p
+    S = ob.ode_to_surface(random_ode_jet(random.Random(5), order=6))
+    exact = Poly.substitute
+
+    def lossy(self, subs):
+        out = exact(self, subs)
+        return out.up_to_weight(out.order - 1)
+
+    monkeypatch.setattr(Poly, "substitute", lossy)
+    with pytest.raises(SolveError, match="F\\(a, b, x\\) = y"):
+        ob.eliminate_initial_conditions(S)
 
 
 def test_elimination_rejects_missing_bx():

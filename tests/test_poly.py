@@ -89,8 +89,6 @@ def test_substitute_filtration_guard():
     low = Poly.var("b", REGULAR, 8)  # weight 1 < weight 2 of a
     with pytest.raises(SubstitutionError):
         p.substitute({"a": low})
-    # explicit escape hatch
-    assert p.substitute({"a": low}, strict=False) == low
 
 
 def test_substitute_composition():
@@ -152,44 +150,40 @@ def polys(draw, g, order: int, lo: int, hi: int, max_terms: int = 4,
 
 @st.composite
 def substitutions(draw):
-    """(subs, grading, order, strict).  Strict series have weighted order at
-    least that of their variable.  A non-strict case holds a series with a
-    term below its variable's weight, a zero series, and a series without
-    its linear term that raises weights, so that some terms have images
-    wholly above the order and are skipped."""
+    """(subs, grading, order), each series of weighted order at least the
+    weight of its variable.  A series may also be zero, which annihilates
+    every term that uses it, or raise weights (its variable squared plus
+    heavier terms), so that some terms have images wholly above the order
+    and are skipped."""
     g = draw(st.sampled_from([REGULAR, UNIT, singular_grading(3)]))
     L = draw(st.integers(2, 6))
-    strict = draw(st.booleans())
-    names = draw(st.lists(st.sampled_from(VARS), min_size=1 if strict else 3,
-                          max_size=3, unique=True))
+    names = draw(st.lists(st.sampled_from(VARS), min_size=1, max_size=3,
+                          unique=True))
     subs = {}
-    for i, v in enumerate(names):
+    for v in names:
         order = draw(st.integers(L - 1, L + 1))
         w = g.weight_of(v)
-        if strict:
-            s = draw(polys(g, order, w, order))
-        elif i == 0:
-            s = (draw(polys(g, order, 0, min(w - 1, order), 1, 1))
-                 + draw(polys(g, order, w, order, 2)))
-            assert s.min_weight() < w
-        elif i == 1:
+        kind = draw(st.sampled_from(["series", "zero", "raising"]))
+        if kind == "zero":
             s = Poly.zero(g, order)
-        else:
+        elif kind == "raising":
             s = Poly.var(v, g, order) ** 2 + draw(polys(g, order, 2 * w + 1, order))
+        else:
+            s = draw(polys(g, order, w, order))
         subs[v] = s
-    return subs, g, L, strict
+    return subs, g, L
 
 
 @settings(max_examples=60, deadline=None)
 @given(substitutions(), st.data())
 def test_substitution_reused_matches_fresh(case, data):
-    subs, g, L, strict = case
-    sub = Substitution(subs, g, L, strict)
+    subs, g, L = case
+    sub = Substitution(subs, g, L)
     assert sub.order == min([L] + [s.order for s in subs.values()])
     for _ in range(3):
         order = data.draw(st.integers(0, sub.order))
         p = data.draw(polys(g, order, 0, order + 1, 6))
-        got, fresh = sub(p), p.substitute(subs, strict)
+        got, fresh = sub(p), p.substitute(subs)
         assert got == fresh and got.order == fresh.order == order
 
 
@@ -214,8 +208,8 @@ def sympy_compose(p: Poly, subs: dict) -> dict:
 @given(substitutions(), st.data())
 def test_substitution_matches_sympy(case, data):
     pytest.importorskip("sympy")
-    subs, g, L, strict = case
-    sub = Substitution(subs, g, L, strict)
+    subs, g, L = case
+    sub = Substitution(subs, g, L)
     for _ in range(2):
         order = data.draw(st.integers(0, sub.order))
         p = data.draw(polys(g, order, 0, order + 1))

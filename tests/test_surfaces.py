@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from paracr import surfaces
 from paracr.cmoperator import weighted_monomials
-from paracr.poly import (Poly, REGULAR, UNIT, Substitution, mono_exps,
-                         singular_grading)
+from paracr.poly import (Poly, REGULAR, UNIT, Substitution,
+                         SubstitutionError, mono_exps, singular_grading)
 from paracr.series import SolveError, implicit_solve
 from paracr.singnorm import prelim_reduce_singular
 from paracr.surfaces import (MapError, PointMap, SurfaceJet, apply_map,
@@ -44,8 +44,23 @@ def test_invert_pair():
         ux, uy = invert_pair(P, Q, ("x", "y"))
         # Poly equality ignores the truncation order, so pin it separately
         assert ux.order == uy.order == L
-        assert P.substitute({"x": ux, "y": uy}, strict=False) == x
-        assert Q.substitute({"x": ux, "y": uy}, strict=False) == y
+        assert P.substitute({"x": ux, "y": uy}) == x
+        assert Q.substitute({"x": ux, "y": uy}) == y
+
+
+def test_compose_rejects_weight_lowering_first_map():
+    # A = a + b lowers the weight of a (2) to 1 in the regular grading, so
+    # truncating the composition at weight 8 would drop known terms
+    first = PointMap(var("x"), var("y"), var("a") + var("b"), var("b"))
+    second = PointMap(var("x"), var("y"), var("a") + var("a") * var("b"),
+                      var("b"))
+    with pytest.raises(SubstitutionError):
+        second.compose(first)
+    # in the unit grading the same maps keep the filtration
+    unit = [m.with_grading(UNIT, 8) for m in (first, second)]
+    assert unit[1].compose(unit[0]).Ac == (Poly.var("a", UNIT, 8)
+                                           + Poly.var("b", UNIT, 8)) * (
+        1 + Poly.var("b", UNIT, 8))
 
 
 def test_apply_map_translation_shear():
@@ -164,8 +179,8 @@ def test_preliminary_reduce_transform_consistent():
     S = SurfaceJet(F.with_grading(REGULAR, L))
     red, pm = preliminary_reduce(S)
     # A = 2a is not the identity plus higher weights, so apply_map refuses
-    # the map; it keeps the regular filtration, so strict substitution checks
-    # the defining identity exactly
+    # the map; it keeps the regular filtration, so substitution checks the
+    # defining identity exactly
     assert satisfies_identity(S.F, pm, red.F)
 
 
@@ -186,7 +201,7 @@ def test_preliminary_reduce_rejects_degenerate():
 
 
 def satisfies_identity(F: Poly, pmap: PointMap, F_star: Poly) -> bool:
-    """Y(x, F) == F*(A, B, X(x, F)), by strict substitution."""
+    """Y(x, F) == F*(A, B, X(x, F)), by substitution."""
     on_surface = {"y": F}
     return pmap.Yc.substitute(on_surface) == F_star.substitute(
         {"a": pmap.Ac, "b": pmap.Bc, "x": pmap.Xc.substitute(on_surface)})
