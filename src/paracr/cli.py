@@ -319,7 +319,7 @@ def cmd_normalize_singular(args) -> int:
 
 def cmd_type(args) -> int:
     F = _read_input(args, UNIT)
-    t = singnorm.finite_type(SurfaceJet(F))
+    t = singnorm.reduced_type(SurfaceJet(F))
     if t is None:
         report = {"verdict": "undetermined", "maxOrder": F.order}
         emit(report, args.json,

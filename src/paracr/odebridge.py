@@ -4,6 +4,13 @@ manifolds y = F(a, b, x), where (a, b) = (y(0), y'(0)).
 ODE jets live in the variables (x, y, p) with p standing for y', truncated by
 total degree.  Converting a surface to an ODE costs two x-orders, because B
 is built from the second x-derivative of F.
+
+Both directions solve a fixed point that is triangular in the degree: F from
+F = a + bx + (double x-integral of B(x, F, F_x)), and the initial conditions
+a, b from y = F(a, b, x), p = F_x(a, b, x).  Each is solved in one pass over
+a `RelaxedSubstitution`, which computes each degree of every product of
+powers of the unknown series once, and then re-checked exactly by a fresh
+substitution.
 """
 
 from __future__ import annotations
@@ -11,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Poly, Substitution, UNIT, VAR_INDEX
-from .series import SolveError, implicit_solve, ode_solve
+from .poly import Poly, RelaxedSubstitution, Substitution, UNIT, VAR_INDEX
+from .series import SolveError, ode_solve
 
 
 @dataclass(frozen=True)
@@ -55,60 +62,71 @@ def ode_to_surface(ode: OdeJet, order: int | None = None):
     B.order + 2.
 
     F is the fixed point of F = a + bx + (double x-integral of B(x, F, F_x)),
-    solved with the truncation growing one degree per sweep; the result is
-    checked against the equation before returning."""
+    solved in one triangular pass: the degree-w part of F is that of a + bx
+    plus the double integral of the degree-(w - 2) part of B(x, F, F_x),
+    which reads F only through degree w - 1, from one
+    `RelaxedSubstitution`.  A fresh substitution then checks F_xx =
+    B(x, F, F_x) through degree order - 2 and the fixed point at the full
+    order, or SolveError."""
     from .surfaces import SurfaceJet
 
     if order is None:
         order = ode.order + 2
     B = ode.B.with_order(order)
     base = Poly.var("a", UNIT, order) + Poly.monomial(1, UNIT, order, b=1, x=1)
+    # with G = B(x, F, F_x), the integral of the degree-(w - 2) part of G is
+    # the degree-(w - 1) part of F_x - b, and its integral that of F - a - bx
+    table = RelaxedSubstitution(("y", "p"), UNIT)
+    if order >= 1:
+        table.extend("y", Poly.var("a", UNIT, 1))
+    for w in range(2, order + 1):
+        Fx_w = table.part(B, w - 2).integrate("x")
+        if w == 2:
+            Fx_w = Fx_w + Poly.var("b", UNIT, 1)
+        table.extend("p", Fx_w)
+        table.extend("y", Fx_w.integrate("x"))
+    F = table.series("y")
 
-    def rhs(F: Poly) -> Poly:
-        G = B.substitute({"y": F, "p": F.partial("x")})
-        return base + G.integrate("x").integrate("x")
-
-    F = implicit_solve(rhs, base, order)
-    Fxx = F.partial("x", 2).with_order(order - 2)
-    residual = Fxx - B.with_order(order - 2).substitute(
-        {"y": F.with_order(order - 2),
-         "p": F.partial("x").with_order(order - 2)})
+    Fx = F.partial("x")
+    G = B.substitute({"y": F, "p": Fx})
+    residual = Fx.partial("x") - G.with_order(order - 2)
     if not residual.is_zero():
         raise SolveError("solution jet fails its own equation at weight "
                          f"{residual.min_weight()}")
+    residual = base + G.integrate("x").integrate("x") - F
+    if not residual.is_zero():
+        raise SolveError("solution jet fails F = a + bx + (double integral "
+                         f"of B) at weight {residual.min_weight()}")
     return SurfaceJet(F)
 
 
 def eliminate_initial_conditions(surface) -> EliminationData:
-    """Solve y = a + c bx + f, p = c b + f_x for a(x, y, p), b(x, y, p),
-    where c != 0 is the coefficient of bx in F and f holds degree 2 and up.
+    """Solve y = F(a, b, x), p = F_x(a, b, x) for a(x, y, p), b(x, y, p),
+    where F = a + c bx + f with c != 0 and f of degree 2 and up.
 
-    One pass per degree w sets a <- y - c b x - f(a, b), then
-    b <- (p - f_x(a, b)) / c from the new a.  The degree-w part of a reads
-    only lighter parts of a and b, and that of b reads a through degree w
-    (f_x has no term linear in b), so each pass settles both at degree w.
-    Both identities are then re-checked exactly, or SolveError.  phi is
-    (integral of b in x) - x p as for c = 1, so for c != 1 it starts with
-    (1/c - 1) x p."""
+    One triangular pass over a `RelaxedSubstitution` sets, at each degree
+    w, the part of a from a = y - (F - a)(a, b, x), then that of b from
+    b = (p - (F_x - c b)(a, b, x)) / c.  The degree-w part of a reads a and
+    b only through degree w - 1, and that of b reads a through degree w
+    (f_x has no term linear in b).  A fresh substitution then re-checks
+    both identities exactly, or SolveError.  phi is (integral of b in x) -
+    x p as for c = 1, so for c != 1 it starts with (1/c - 1) x p."""
     L = surface.order
     F = surface.F.with_grading(UNIT, L)
-    x, y, p = (Poly.var(v, UNIT, L) for v in "xyp")
+    x, y, p, a = (Poly.var(v, UNIT, L) for v in "xypa")
     c = F.coeff_mono(b=1, x=1)
-    f = F - Poly.var("a", UNIT, L) - Poly.monomial(c, UNIT, L, b=1, x=1)
-    if c == 0 or not f.up_to_weight(1).is_zero():
+    bx = Poly.monomial(c, UNIT, L, b=1, x=1)
+    if c == 0 or not (F - a - bx).up_to_weight(1).is_zero():
         raise ValueError("elimination expects the shape a + bx + higher order")
-    # b <- (p - f_x) / c with the division done once, outside the passes
     inv_c = 1 / Fraction(c)
-    p_c = p * inv_c
     Fx = F.partial("x").with_order(L)
-    fx_c = (Fx - Poly.monomial(c, UNIT, L, b=1)) * inv_c
-    cx = x * c
-
-    aS = bS = Poly.zero(UNIT, 0)
+    rest_a = F - a
+    rest_b = (Fx - Poly.monomial(c, UNIT, L, b=1)) * inv_c
+    table = RelaxedSubstitution(("a", "b"), UNIT)
     for w in range(1, L + 1):
-        bS = bS.with_order(w)
-        aS = y - bS * cx - f.substitute({"a": aS.with_order(w), "b": bS})
-        bS = p_c - fx_c.substitute({"a": aS, "b": bS})
+        table.extend("a", (y if w == 1 else 0) - table.part(rest_a, w))
+        table.extend("b", (p * inv_c if w == 1 else 0) - table.part(rest_b, w))
+    aS, bS = table.series("a"), table.series("b")
     on_solution = Substitution({"a": aS, "b": bS}, UNIT, L)
     if on_solution(F) != y or on_solution(Fx) != p:
         raise SolveError("elimination of the initial conditions fails "

@@ -495,3 +495,109 @@ class Substitution:
                       pe[3] + shift[3], pe[4] + shift[4])
                 out[ne] = out.get(ne, 0) + scale * n
         return Poly._raw({e: Fraction(n, den) for e, n in out.items() if n}, g, order)
+
+
+class RelaxedSubstitution:
+    """Formal composition p -> p(subs) computed one weight at a time while
+    the substituted series are still being solved, in the manner of relaxed
+    power-series evaluation (van der Hoeven, JSC 2002).
+
+    Each series is zero below the weight of its variable, which keeps the
+    filtration; `extend` sets its next homogeneous part.  `part(poly, w)` is
+    the weight-w part of poly(subs).  Every product of powers of the series
+    gains its weight-d part once, as sum_u [prev]_u [s]_(d-u) over integer
+    numerators, so solving a fixed point degree by degree computes each
+    product part once.  A read of a part not yet set raises
+    SubstitutionError: the fixed point being solved is not triangular."""
+
+    __slots__ = ("grading", "positions", "weights", "_series", "_terms", "_parts")
+
+    def __init__(self, variables, grading: Grading):
+        self.grading = grading
+        self.positions = tuple(sorted(VAR_INDEX[v] for v in variables))
+        self.weights = tuple(grading.weights[i] for i in self.positions)
+        # per series, its parts in integer form (d, [(exps, n)]) by weight
+        self._series = [[(1, [])] * w for w in self.weights]
+        self._terms = [{} for _ in self.positions]
+        self._parts: dict = {}
+
+    def extend(self, var: str, part: Poly):
+        """Set the next homogeneous part of the series substituted for var."""
+        j = self.positions.index(VAR_INDEX[var])
+        parts = self._series[j]
+        w, g = len(parts), self.grading
+        if part.grading != g or any(g.weight(e) != w for e in part.terms):
+            raise ValueError(f"the next part of {var} must be homogeneous "
+                             f"of weight {w}")
+        d, items = part._integer_items()
+        parts.append((d, [(e, n) for _, e, n in items]))
+        self._terms[j].update(part.terms)
+
+    def series(self, var: str) -> Poly:
+        """The series substituted for var, through its last weight set."""
+        j = self.positions.index(VAR_INDEX[var])
+        return Poly._raw(self._terms[j], self.grading, len(self._series[j]) - 1)
+
+    def _read(self, j: int, w: int) -> tuple:
+        parts = self._series[j]
+        if w >= len(parts):
+            raise SubstitutionError(f"the weight-{w} part of the series for "
+                                    f"{VARS[self.positions[j]]} is not set yet")
+        return parts[w]
+
+    def _product(self, key: tuple, w: int) -> tuple:
+        """Integer form (d, [(exps, n)]) of the weight-w part of the product
+        of the series to the powers `key`."""
+        p = self._parts.get((key, w))
+        if p is not None:
+            return p
+        if not any(key):
+            return 1, ([(ZERO_EXPS, 1)] if w == 0 else [])
+        pos = max(j for j, e in enumerate(key) if e)
+        prev = key[:pos] + (key[pos] - 1,) + key[pos + 1:]
+        if not any(prev):
+            p = self._read(pos, w)
+        else:
+            # prev weighs at least `low` and the series at least its weight
+            low = sum(e * wt for e, wt in zip(prev, self.weights))
+            pairs = [(self._product(prev, u), self._read(pos, w - u))
+                     for u in range(low, w - self.weights[pos] + 1)]
+            pairs = [(a, b) for a, b in pairs if a[1] and b[1]]
+            den = lcm(*(a[0] * b[0] for a, b in pairs))
+            acc: dict = {}
+            for (d1, items1), (d2, items2) in pairs:
+                scale = den // (d1 * d2)
+                for e1, n1 in items1:
+                    m = n1 * scale
+                    for e2, n2 in items2:
+                        e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2],
+                             e1[3] + e2[3], e1[4] + e2[4])
+                        acc[e] = acc.get(e, 0) + m * n2
+            p = den, [(e, n) for e, n in acc.items() if n]
+        self._parts[(key, w)] = p
+        return p
+
+    def part(self, poly: Poly, w: int) -> Poly:
+        """The weight-w part of poly(subs), a Poly of order w."""
+        g = self.grading
+        if poly.grading != g:
+            raise GradingError("substituted series has a different grading")
+        weight, positions = g.weight, self.positions
+        live = []
+        for exps, c in poly.terms.items():
+            if weight(exps) > w:
+                continue
+            key = tuple(exps[i] for i in positions)
+            shift = tuple(0 if i in positions else e for i, e in enumerate(exps))
+            p = self._product(key, w - weight(shift))
+            if p[1]:
+                live.append((shift, c, p))
+        den = lcm(*(c.denominator * d for _, c, (d, _) in live))
+        out: dict = {}
+        for shift, c, (d, items) in live:
+            scale = c.numerator * (den // (c.denominator * d))
+            for pe, n in items:
+                ne = (pe[0] + shift[0], pe[1] + shift[1], pe[2] + shift[2],
+                      pe[3] + shift[3], pe[4] + shift[4])
+                out[ne] = out.get(ne, 0) + scale * n
+        return Poly._raw({e: Fraction(n, den) for e, n in out.items() if n}, g, w)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from . import cmoperator as cm
 from .poly import Poly, VAR_INDEX, mono_exps, singular_grading
 from .series import SolveError
-from .surfaces import MapError, PointMap, SurfaceJet, _normalize_weights, \
-    _preliminary
+from .surfaces import MapError, PointMap, SurfaceJet, _absorb, \
+    _normalize_weights, _preliminary
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,16 @@ def finite_type(surface: SurfaceJet) -> TypeData | None:
         return None
     k, m = best
     return TypeData(k=k, m=m, n=k - m)
+
+
+def reduced_type(surface: SurfaceJet) -> TypeData | None:
+    """Finite type of the jet after the preliminary reduction, which can be
+    lower than that of the raw jet: absorbing the pure-b series of
+    a + b^2 x^2 + a x + b^2 turns a x into a x - b^2 x, of type 3, not 4.
+    The reduction's later scaling keeps every monomial, so the type is read
+    right after `_absorb`.  None if no mixed term is left through the jet's
+    order."""
+    return finite_type(SurfaceJet(_absorb(surface)[1]))
 
 
 def prelim_reduce_singular(surface: SurfaceJet):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 
 from . import cmoperator as cm
@@ -203,20 +204,15 @@ def apply_map(surface: SurfaceJet, pmap: PointMap) -> SurfaceJet:
     return SurfaceJet(F_star)
 
 
-def _preliminary(surface: SurfaceJet, leading) -> tuple:
-    """The preliminary reduction shared by the regular and singular cases,
-    in closed form in the unit grading, where its maps keep the filtration.
+def _absorb(surface: SurfaceJet) -> tuple:
+    """The absorption of the pure series that starts the preliminary
+    reduction, in closed form in the unit grading.
 
     With ga = F_a(0), P(x) = F(0, 0, x) and a0(b) the root of
     F(a0(b), b, 0) = 0, the map (x, y - P, ga (a - a0(b)), b) takes F to
     F* = F(a/ga + a0(b), b, x) - P(x), which has no pure-x or pure-b series
-    and coefficient 1 on a.  Then `leading(F*)` names the leading mixed
-    monomial b^m x^n, or raises if F* has the wrong shape, and its
-    coefficient c is scaled to 1: by b* = c b when m = 1.  For m > 1 the
-    b-scaling alone cannot reach 1 over the rationals; y* = y/c, a* = a/c
-    divides the whole bottom row by c.  Both the shape and the defining
-    identity Y(x, F) = F*(A, B, X(x, F)) are re-checked exactly.
-    Returns (F*, map, (m, n)) with F* and the map in the unit grading.
+    and coefficient 1 on a.  Returns (F, F*, Y, A), all in the unit grading;
+    MapError if F_a(0) = 0 or F(0) != 0.
     """
     L = surface.order
     F = surface.F.with_grading(UNIT, L)
@@ -225,13 +221,31 @@ def _preliminary(surface: SurfaceJet, leading) -> tuple:
         raise MapError("not a graph over a: F_a(0) = 0")
     if F.constant_term() != 0:
         raise MapError("the surface does not pass through the origin: F(0) != 0")
-    x, y, a, b = (Poly.var(v, UNIT, L) for v in "xyab")
+    y, a = Poly.var("y", UNIT, L), Poly.var("a", UNIT, L)
     P = F.set_zero("a", "b")
     # a0 = -(F(a0, b, 0) - ga a0) / ga; the right side has no linear a term
     G = (F.set_zero("x") - a * ga) * (Fraction(-1) / ga)
     a0 = implicit_solve(lambda s: G.substitute({"a": s}), Poly.zero(UNIT, L), L)
     Fs = F.substitute({"a": a * (Fraction(1) / ga) + a0}) - P
-    Yc, Ac, Bc = y - P, (a - a0) * ga, b
+    return F, Fs, y - P, (a - a0) * ga
+
+
+def _preliminary(surface: SurfaceJet, leading) -> tuple:
+    """The preliminary reduction shared by the regular and singular cases,
+    in closed form in the unit grading, where its maps keep the filtration.
+
+    After `_absorb`, `leading(F*)` names the leading mixed monomial
+    b^m x^n, or raises if F* has the wrong shape, and its coefficient c is
+    scaled to 1: by b* = c b when m = 1.  For m > 1 the b-scaling alone
+    cannot reach 1 over the rationals; y* = y/c, a* = a/c divides the whole
+    bottom row by c.  Both the shape and the defining identity
+    Y(x, F) = F*(A, B, X(x, F)) are re-checked exactly.
+    Returns (F*, map, (m, n)) with F* and the map in the unit grading.
+    """
+    L = surface.order
+    F, Fs, Yc, Ac = _absorb(surface)
+    x, a, b = (Poly.var(v, UNIT, L) for v in "xab")
+    Bc = b
 
     m, n = leading(Fs)
     c = Fs.coeff(mono_exps(b=m, x=n))
@@ -281,12 +295,14 @@ def _normalize_weights(surface: SurfaceJet, model: Poly, complement) -> tuple:
     weight-nu part of F - a - model into the operator's image and a part on
     the monomials `complement(nu)`.  The field that removes the image part
     is applied as a near-identity map, and the new weight-nu part must equal
-    the predicted normal part.  Returns (normalized jet, map, eliminated
-    monomials by weight).
+    the predicted normal part.  The steps are composed once, at the end,
+    as ((s_N o s_(N-1)) o ...) o s_1, so that each composition substitutes
+    a sparse step, not the accumulated map.  Returns (normalized jet, map,
+    eliminated monomials by weight).
     """
     g, L = surface.grading, surface.order
     current = surface
-    transform = PointMap.identity(g, L)
+    steps = []
     eliminated: dict = {}
     for nu in range(g.type_k + 1, L + 1):
         p_nu = current.f_part(model).component(nu)
@@ -300,9 +316,11 @@ def _normalize_weights(surface: SurfaceJet, model: Poly, complement) -> tuple:
                         Poly.var("a", g, L) + v.alpha.with_order(L),
                         Poly.var("b", g, L) + v.beta.with_order(L))
         current = apply_map(current, step)
-        transform = step.compose(transform)
+        steps.append(step)
         eliminated[nu] = sorted((p_nu - normal).terms)
         if current.f_part(model).component(nu) != normal:
             raise RuntimeError(f"normalization at weight {nu} disagrees with "
                                "the linear prediction")
-    return current, transform, eliminated
+    if not steps:
+        return current, PointMap.identity(g, L), eliminated
+    return current, reduce(PointMap.compose, reversed(steps)), eliminated

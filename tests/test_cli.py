@@ -160,6 +160,18 @@ def test_type_command(capsys):
     assert "undetermined" in out
 
 
+def test_type_agrees_with_normalize_singular(capsys):
+    # absorbing the pure-b series turns a x into a x - b^2 x: type 3, not 4
+    expr = "a + b^2x^2 + ax + b^2"
+    code, out, err = run(capsys, "type", "--expr", expr, "--json")
+    assert code == 0
+    assert json.loads(out) == {"verdict": "singular", "k": 3, "m": 2, "n": 1}
+    code, out, err = run(capsys, "normalize-singular", "--expr", expr, "--json")
+    assert code == 0
+    t = json.loads(out)["type"]
+    assert (t["k"], t["m"], t["n"]) == (3, 2, 1)
+
+
 def test_ode_round_trip_through_cli(capsys):
     code, out, err = run(capsys, "ode2surf", "--expr", "p^2", "--order", "6",
                          "--json")

@@ -3,10 +3,13 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paracr import odebridge as ob
-from paracr.poly import Poly, REGULAR, UNIT, VAR_INDEX
-from paracr.series import SolveError
+from paracr.cmoperator import weighted_monomials
+from paracr.poly import Poly, REGULAR, RelaxedSubstitution, UNIT, VAR_INDEX, \
+    mono_exps
+from paracr.series import SolveError, implicit_solve
 from paracr.surfaces import SurfaceJet
 from conftest import random_ode_jet
 
@@ -133,19 +136,54 @@ def test_elimination_with_bx_coefficient_not_one():
     assert data.phi.coeff_mono(x=1, p=1) == Fraction(-1, 2)
 
 
+def corrupt_product(monkeypatch, key, weight):
+    """Add 1 to one coefficient of one part of every RelaxedSubstitution's
+    product table: the weight-`weight` part of the product of the series to
+    the powers `key`."""
+    exact = RelaxedSubstitution._product
+
+    def corrupted(self, k, w):
+        d, items = exact(self, k, w)
+        if (k, w) == (key, weight):
+            (e, n), *rest = items
+            return d, [(e, n + d), *rest]
+        return d, items
+
+    monkeypatch.setattr(RelaxedSubstitution, "_product", corrupted)
+
+
+LOG_ODE = ode(Poly.monomial(1, UNIT, 6, p=2))  # F = a - ln(1 - bx)
+
+
 def test_elimination_identity_check_is_live(monkeypatch):
-    # a solver whose substitutions drop their top degree must be caught by
-    # the closing check of F(a, b, x) = y and F_x(a, b, x) = p
-    S = ob.ode_to_surface(random_ode_jet(random.Random(5), order=6))
-    exact = Poly.substitute
-
-    def lossy(self, subs):
-        out = exact(self, subs)
-        return out.up_to_weight(out.order - 1)
-
-    monkeypatch.setattr(Poly, "substitute", lossy)
+    # a wrong part of b^2 in the elimination's table must be caught by the
+    # closing check of F(a, b, x) = y and F_x(a, b, x) = p
+    S = ob.ode_to_surface(LOG_ODE)
+    corrupt_product(monkeypatch, (0, 2), 2)
     with pytest.raises(SolveError, match="F\\(a, b, x\\) = y"):
         ob.eliminate_initial_conditions(S)
+
+
+def test_ode_own_equation_check_is_live(monkeypatch):
+    # a wrong part of (F_x)^2 puts F off its equation F_xx = (F_x)^2
+    corrupt_product(monkeypatch, (0, 2), 2)
+    with pytest.raises(SolveError, match="own equation"):
+        ob.ode_to_surface(LOG_ODE)
+
+
+def test_ode_fixed_point_check_is_live(monkeypatch):
+    # an x-free a^2 in F passes F_xx = B(x, F, F_x) when B does not read y;
+    # only the fixed point F = a + bx + (double integral of B) catches it
+    exact = RelaxedSubstitution.extend
+
+    def corrupted(self, var, part):
+        if var == "y" and part.order == 2:
+            part = part + Poly.monomial(1, UNIT, 2, a=2)
+        exact(self, var, part)
+
+    monkeypatch.setattr(RelaxedSubstitution, "extend", corrupted)
+    with pytest.raises(SolveError, match="F = a \\+ bx"):
+        ob.ode_to_surface(LOG_ODE)
 
 
 def test_elimination_rejects_missing_bx():
@@ -191,3 +229,123 @@ def test_linear_ode_surface():
     f2 = S.F.coeff_series(b=1)
     w = (f2.partial("x") * f1 - f2 * f1.partial("x")).with_order(7)
     assert w.constant_term() != 0
+
+
+# ---- differential and oracle tests -----------------------------------------
+
+coefs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def ode_jets(draw):
+    """(OdeJet, order): B of degree 1..6 in (x, y, p) whose constant and
+    linear coefficients are always drawn, and a surface order 2..8."""
+    n = draw(st.integers(1, 6))
+    terms = {}
+    for w in range(n + 1):
+        for e in weighted_monomials(w, ("x", "y", "p"), UNIT):
+            if w <= 1 or draw(st.booleans()):
+                terms[e] = draw(coefs)
+    return ob.OdeJet(Poly(terms, UNIT, n)), draw(st.integers(2, 8))
+
+
+@st.composite
+def surfaces(draw):
+    """a + c bx + f with c != 0 and f random of degree 2..L, L in 2..8."""
+    L = draw(st.integers(2, 8))
+    c = draw(coefs.filter(bool))
+    terms = {mono_exps(a=1): Fraction(1), mono_exps(b=1, x=1): c}
+    for w in range(2, L + 1):
+        for e in weighted_monomials(w, ("a", "b", "x"), UNIT):
+            if e != mono_exps(b=1, x=1) and draw(st.booleans()):
+                terms[e] = draw(coefs)
+    return SurfaceJet(Poly(terms, UNIT, L))
+
+
+def sweeps_surface(ode_jet, order):
+    """F by growing sweeps of F = a + bx + (double integral of B(x, F, F_x))."""
+    B = ode_jet.B.with_order(order)
+    base = Poly.var("a", UNIT, order) + Poly.monomial(1, UNIT, order, b=1, x=1)
+
+    def rhs(F):
+        G = B.substitute({"y": F, "p": F.partial("x")})
+        return base + G.integrate("x").integrate("x")
+
+    return implicit_solve(rhs, base, order)
+
+
+def per_degree_elimination(surface):
+    """(a, b, phi) by one full substitution pass per degree: a <- y - c b x
+    - f(a, b), then b <- (p - f_x(a, b)) / c."""
+    L = surface.order
+    F = surface.F
+    x, y, p = (Poly.var(v, UNIT, L) for v in "xyp")
+    c = F.coeff_mono(b=1, x=1)
+    f = F - Poly.var("a", UNIT, L) - Poly.monomial(c, UNIT, L, b=1, x=1)
+    fx = F.partial("x").with_order(L) - Poly.monomial(c, UNIT, L, b=1)
+    aS = bS = Poly.zero(UNIT, 0)
+    for w in range(1, L + 1):
+        bS = bS.with_order(w)
+        aS = y - bS * x * c - f.substitute({"a": aS.with_order(w), "b": bS})
+        bS = (p - fx.substitute({"a": aS, "b": bS})) * (1 / Fraction(c))
+    return aS, bS, bS.integrate("x").with_order(L) - x * p
+
+
+@settings(max_examples=30, deadline=None)
+@given(ode_jets())
+def test_one_pass_surface_matches_sweeps(case):
+    ode_jet, order = case
+    F = ob.ode_to_surface(ode_jet, order).F
+    want = sweeps_surface(ode_jet, order)
+    assert F == want and F.order == want.order == order
+
+
+@settings(max_examples=30, deadline=None)
+@given(surfaces())
+def test_one_pass_elimination_matches_per_degree(surface):
+    data = ob.eliminate_initial_conditions(surface)
+    got = (data.a_series, data.b_series, data.phi)
+    want = per_degree_elimination(surface)
+    assert got == want
+    assert [s.order for s in got] == [s.order for s in want]
+
+
+def sympy_picard(ode_jet, order) -> dict:
+    """F by sympy: Picard iteration of F = a + bx + (double integral of
+    B(x, F, F_x)), every product truncated at total degree `order`."""
+    sympy = pytest.importorskip("sympy")
+    a, b, x = sympy.symbols("a b x")
+
+    def trunc(P, d):
+        return sympy.Poly.from_dict(
+            {m: c for m, c in P.as_dict().items() if sum(m) <= d},
+            a, b, x, domain=sympy.QQ)
+
+    def powers(P, n, d):
+        out = [sympy.Poly(1, a, b, x, domain=sympy.QQ)]
+        for _ in range(n):
+            out.append(trunc(out[-1] * P, d))
+        return out
+
+    ix, iy, ip = VAR_INDEX["x"], VAR_INDEX["y"], VAR_INDEX["p"]
+    n = max(e[iy] + e[ip] for e in ode_jet.B.terms) if ode_jet.B.terms else 0
+    base = sympy.Poly(a + b * x, a, b, x, domain=sympy.QQ)
+    F = base
+    for _ in range(order):
+        Fy, Fp = powers(F, n, order - 2), powers(F.diff(x), n, order - 2)
+        G = sympy.Poly(0, a, b, x, domain=sympy.QQ)
+        for e, c in ode_jet.B.terms.items():
+            term = trunc(Fy[e[iy]] * Fp[e[ip]], order - 2 - e[ix])
+            G += term * sympy.Poly(x ** e[ix], a, b, x, domain=sympy.QQ) \
+                * sympy.Rational(c.numerator, c.denominator)
+        F = trunc(base + trunc(G, order - 2).integrate(x).integrate(x), order)
+    return {(i, j, k, 0, 0): Fraction(int(c.p), int(c.q))
+            for (i, j, k), c in F.as_dict().items() if c != 0}
+
+
+@settings(max_examples=15, deadline=None)
+@given(ode_jets())
+def test_surface_matches_sympy_picard(case):
+    pytest.importorskip("sympy")
+    ode_jet, order = case
+    assert ob.ode_to_surface(ode_jet, order).F.terms == sympy_picard(ode_jet, order)

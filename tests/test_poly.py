@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from paracr.cmoperator import weighted_monomials
 from paracr.poly import (Poly, Grading, REGULAR, UNIT, VARS, VAR_INDEX,
-                         singular_grading, GradingError, Substitution,
-                         SubstitutionError, mono_exps)
+                         singular_grading, GradingError, RelaxedSubstitution,
+                         Substitution, SubstitutionError, mono_exps)
 
 
 def P(terms, g=REGULAR, order=8):
@@ -214,3 +214,37 @@ def test_substitution_matches_sympy(case, data):
         order = data.draw(st.integers(0, sub.order))
         p = data.draw(polys(g, order, 0, order + 1))
         assert sub(p).terms == sympy_compose(p, subs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(substitutions(), st.data())
+def test_relaxed_substitution_matches_fresh(case, data):
+    # parts set one weight at a time give, weight by weight, the parts of
+    # the substitution of the whole series
+    subs, g, L = case
+    fresh = Substitution(subs, g, L)
+    table = RelaxedSubstitution(subs, g)
+    p = data.draw(polys(g, fresh.order, 0, fresh.order + 1, 6))
+    want = fresh(p)
+    for w in range(fresh.order + 1):
+        for v, s in subs.items():
+            if w >= g.weight_of(v):
+                table.extend(v, s.component(w))
+        got = table.part(p, w)
+        assert got.terms == want.component(w).terms and got.order == w
+    for v, s in subs.items():
+        assert table.series(v) == s.with_order(fresh.order)
+
+
+def test_relaxed_substitution_reads_only_parts_set():
+    a, x, y = (Poly.var(v, UNIT, 4) for v in "axy")
+    table = RelaxedSubstitution(["y"], UNIT)
+    table.extend("y", a.with_order(1))
+    # [y^2 + x y]_2 reads y through weight 1 only
+    assert table.part(y * y + x * y, 2) == (a * a + a * x).with_order(2)
+    with pytest.raises(SubstitutionError, match="weight-2 part .* not set"):
+        table.part(y, 2)
+    with pytest.raises(SubstitutionError, match="not set"):
+        table.part(y * y * y, 4)
+    with pytest.raises(ValueError, match="homogeneous of weight 2"):
+        table.extend("y", a + a * a)
