@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .cmoperator import VField
 from .poly import Poly, Grading, VAR_INDEX
-from .singnorm import finite_type
+from .surfaces import finite_type
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,10 @@ from fractions import Fraction
 
 from . import autodetect, cmoperator, odebridge, regnorm, singnorm
 from .poly import Poly, REGULAR, UNIT, VARS, SubstitutionError, \
-    format_monomial, singular_grading
+    format_monomial, mono_exps, singular_grading
 from .series import SolveError
-from .surfaces import MapError, PointMap, SurfaceJet, preliminary_reduce
+from .surfaces import MapError, PointMap, SurfaceJet, TypeData, \
+    preliminary_reduce
 
 DEFAULT_MAX_ORDER = 24
 DEFAULT_REGULAR_ORDER = 8
@@ -210,8 +211,12 @@ def _read_expr(args) -> str:
     raise ConfigError("provide --expr or --input")
 
 
+def _max_order() -> int:
+    return int(os.environ.get("PARACR_MAX_ORDER", DEFAULT_MAX_ORDER))
+
+
 def _check_bound(flag: str, value: int, lowest: int):
-    guard = int(os.environ.get("PARACR_MAX_ORDER", DEFAULT_MAX_ORDER))
+    guard = _max_order()
     if value < lowest:
         raise ConfigError(f"{flag} must be at least {lowest}")
     if value > guard:
@@ -228,10 +233,12 @@ def _read_input(args, grading, default_order: int = DEFAULT_REGULAR_ORDER,
     return parse_poly(_read_expr(args), variables, grading, order)
 
 
-def _finite_type(F: Poly) -> singnorm.TypeData:
-    t = singnorm.finite_type(SurfaceJet(F))
+def _reduced_type(F: Poly) -> TypeData:
+    """The type `type` prints; MapError if undetermined at F's order."""
+    t = singnorm.reduced_type(SurfaceJet(F))
     if t is None:
-        raise MapError("no mixed term found; type undetermined at this order")
+        raise MapError(f"no mixed term through degree {F.order}; "
+                       "type is undetermined at this truncation")
     return t
 
 
@@ -243,6 +250,18 @@ def _compose_exact(transform: PointMap, pre: PointMap) -> PointMap:
     except SubstitutionError:
         d = transform.Xc.order // transform.Xc.grading.type_k
         return transform.with_grading(UNIT, d).compose(pre.with_grading(UNIT, d))
+
+
+def _normal_form_output(rep, pre: PointMap) -> tuple:
+    """The normal form and the transform after `pre`, as the report entries
+    and text lines that `normalize` and `normalize-singular` share."""
+    transform = _compose_exact(rep.transform, pre)
+    F = rep.normalized.F
+    report = {"normalized": {"text": str(F), "terms": poly_json(F)},
+              "transform": pointmap_json(transform)}
+    lines = [f"normalized: {F}"]
+    lines += [f"  {name} = {c}" for name, c in transform.components().items()]
+    return report, lines
 
 
 def cmd_tables(args) -> int:
@@ -270,23 +289,13 @@ def cmd_tables(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    F = _read_input(args, REGULAR)
-    surface = SurfaceJet(F)
-    reduced, pre = preliminary_reduce(surface)
+    reduced, pre = preliminary_reduce(SurfaceJet(_read_input(args, REGULAR)))
     if args.geometric:
         rep = regnorm.geometric_normalize(reduced)
     else:
         rep = regnorm.normalize_jet(reduced)
-    transform = _compose_exact(rep.transform, pre)
-    report = {
-        "normalized": {"text": str(rep.normalized.F),
-                       "terms": poly_json(rep.normalized.F)},
-        "transform": pointmap_json(transform),
-        "conditions": {k: bool(v) for k, v in rep.conditions.items()},
-    }
-    lines = [f"normalized: {rep.normalized.F}"]
-    for name, c in transform.components().items():
-        lines.append(f"  {name} = {c}")
+    report, lines = _normal_form_output(rep, pre)
+    report["conditions"] = {k: bool(v) for k, v in rep.conditions.items()}
     lines.append("conditions: " + " ".join(
         f"({k}):{'ok' if v else 'FAIL'}" for k, v in rep.conditions.items()))
     emit(report, args.json, lines)
@@ -294,26 +303,20 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_normalize_singular(args) -> int:
-    t = _finite_type(parse_poly(_read_expr(args), SURFACE_VARS, UNIT, 64))
-    if t.regular:
-        raise MapError("jet is of type 2; use `normalize`")
-    F = _read_input(args, UNIT, t.k + 6)
+    default = None
+    if args.order is None:
+        # a type above the guard gives a default order that the guard refuses
+        probe = parse_poly(_read_expr(args), SURFACE_VARS, UNIT, _max_order())
+        default = _reduced_type(probe).k + 6
+    F = _read_input(args, UNIT, default)
     reduced, pre, t = singnorm.prelim_reduce_singular(SurfaceJet(F))
     rep = singnorm.normalize_singular_jet(reduced, t)
-    transform = _compose_exact(rep.transform, pre)
-    report = {
-        "type": {"k": t.k, "m": t.m, "n": t.n,
-                 "gammas": [str(c) for c in t.gammas]},
-        "normalized": {"text": str(rep.normalized.F),
-                       "terms": poly_json(rep.normalized.F)},
-        "transform": pointmap_json(transform),
-        "ok": rep.ok,
-    }
-    lines = [f"type k={t.k}, leading monomial b^{t.m} x^{t.n}",
-             f"normalized: {rep.normalized.F}"]
-    for name, c in transform.components().items():
-        lines.append(f"  {name} = {c}")
-    emit(report, args.json, lines)
+    report, lines = _normal_form_output(rep, pre)
+    report["type"] = {"k": t.k, "m": t.m, "n": t.n,
+                      "gammas": [str(c) for c in t.gammas]}
+    report["ok"] = rep.ok
+    lead = format_monomial(mono_exps(b=t.m, x=t.n))
+    emit(report, args.json, [f"type k={t.k}, leading monomial {lead}"] + lines)
     return EXIT_OK
 
 
@@ -384,10 +387,12 @@ def cmd_check_ode_normal(args) -> int:
 
 
 def cmd_autos(args) -> int:
+    # a second parse in the type-k grading rejects the terms that grading
+    # puts above the order, rather than dropping them
     probe = _read_input(args, UNIT)
-    t = _finite_type(probe)
-    grading = REGULAR if t.regular else singular_grading(t.k)
-    F = parse_poly(_read_expr(args), SURFACE_VARS, grading, probe.order)
+    t = _reduced_type(probe)
+    F = parse_poly(_read_expr(args), SURFACE_VARS, singular_grading(t.k),
+                   probe.order)
     rep = autodetect.isotropy_report(SurfaceJet(F), t)
     report = {"verdict": rep.verdict, "order": rep.order,
               "m": rep.m, "n": rep.n,

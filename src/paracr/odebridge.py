@@ -38,10 +38,6 @@ class OdeJet:
     def order(self) -> int:
         return self.B.order
 
-    def coefficient(self, i: int, j: int) -> Poly:
-        """B_ij(y), the coefficient of x^i p^j."""
-        return self.B.coeff_series(x=i, p=j)
-
     def __str__(self):
         return str(self.B)
 

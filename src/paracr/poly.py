@@ -20,6 +20,7 @@ silently discards anything heavier.  Arithmetic is closed under this rule.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Mapping
 
@@ -78,14 +79,16 @@ class Grading:
         return f"Grading({pairs})"
 
 
-REGULAR = Grading({"a": 2, "y": 2, "b": 1, "x": 1, "p": 1}, type_k=2)
-UNIT = Grading({v: 1 for v in VARS})
-
-
+@lru_cache(maxsize=None)
 def singular_grading(k: int) -> Grading:
+    """The type-k grading, one instance (and weight cache) per k."""
     if k < 2:
         raise ValueError("type parameter k must be >= 2")
     return Grading({"a": k, "y": k, "b": 1, "x": 1, "p": 1}, type_k=k)
+
+
+REGULAR = singular_grading(2)
+UNIT = Grading({v: 1 for v in VARS})
 
 
 def _as_fraction(c):

@@ -21,7 +21,8 @@ from . import cmoperator as cm
 from .poly import Poly, REGULAR
 from .series import SolveError, implicit_solve, ode_solve, reciprocal, divide, \
     sqrt_unit, reverse_univariate
-from .surfaces import SurfaceJet, PointMap, apply_map, _normalize_weights
+from .surfaces import SurfaceJet, PointMap, apply_map, _compose_steps, \
+    _normalize_weights
 
 
 CONDITION_KEYS = ("i", "ii", "iii", "iv", "v")
@@ -241,17 +242,18 @@ def geometric_normalize(surface: SurfaceJet) -> NormalFormReport:
     The construction steps each kill their target coefficient while only
     disturbing strictly higher weights, so sweeping them repeatedly converges
     at jet level; the loop stops as soon as all five conditions hold, and
-    gives up after L + 2 passes.
+    gives up after L + 2 passes.  The steps are composed once, at the end, by
+    `_compose_steps`.
     """
     _require_preliminary(surface)
     g, L = surface.grading, surface.order
     current = surface
-    transform = PointMap.identity(g, L)
+    steps = []
 
     def apply(step: PointMap):
-        nonlocal current, transform
+        nonlocal current
         current = apply_map(current, step)
-        transform = step.compose(transform)
+        steps.append(step)
 
     for _ in range(L + 2):
         if is_normal(current):
@@ -275,5 +277,6 @@ def geometric_normalize(surface: SurfaceJet) -> NormalFormReport:
     else:
         raise SolveError("geometric normalization did not reach normal form "
                          f"within {L + 2} passes")
-    return NormalFormReport(normalized=current, transform=transform,
+    return NormalFormReport(normalized=current,
+                            transform=_compose_steps(steps, g, L),
                             conditions=check_normal_conditions(current))

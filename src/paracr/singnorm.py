@@ -1,6 +1,7 @@
-"""Finite-type detection and normal forms for singular (type k > 2) jets.
+"""Normal forms for singular (type k > 2) jets.
 
-A singular jet is first reduced to the shape
+`surfaces._reduce`, guarded here by `prelim_reduce_singular`, reduces a jet
+of finite type k to the shape
 
     y = a + b^m x^n + sum_{j>m} gamma_j b^j x^(k-j) + (weight > k)
 
@@ -14,92 +15,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import cmoperator as cm
-from .poly import Poly, VAR_INDEX, mono_exps, singular_grading
+from .poly import VAR_INDEX, singular_grading
 from .series import SolveError
-from .surfaces import MapError, PointMap, SurfaceJet, _absorb, \
-    _normalize_weights, _preliminary
-
-
-@dataclass(frozen=True)
-class TypeData:
-    """Finite type k with leading mixed monomial b^m x^n (m + n = k) and the
-    remaining bottom-row coefficients gamma_j, j = m+1 .. k-1."""
-
-    k: int
-    m: int
-    n: int
-    gammas: tuple = ()
-
-    @property
-    def regular(self) -> bool:
-        return self.k == 2
-
-    def model(self, grading, order: int) -> Poly:
-        return cm.model_poly(grading, order, self.m, self.n, self.gammas)
-
-
-def finite_type(surface: SurfaceJet) -> TypeData | None:
-    """Smallest k with a nonzero mixed partial d^k F / db^m dx^n at 0 (m, n > 0),
-    with m minimal at that k.  Returns None if no mixed term shows up through
-    the jet's order (undetermined at this truncation)."""
-    F = surface.F
-    if F.coeff(mono_exps(a=1)) == 0:
-        raise MapError("not a graph over a: F_a(0) = 0")
-    ib, ix = VAR_INDEX["b"], VAR_INDEX["x"]
-    ia, iy = VAR_INDEX["a"], VAR_INDEX["y"]
-    best = None
-    for exps, c in F.terms.items():
-        if exps[ia] or exps[iy]:
-            continue
-        m, n = exps[ib], exps[ix]
-        if m == 0 or n == 0:
-            continue
-        if best is None or (m + n, m) < best:
-            best = (m + n, m)
-    if best is None:
-        return None
-    k, m = best
-    return TypeData(k=k, m=m, n=k - m)
+from .surfaces import MapError, PointMap, SurfaceJet, TypeData, _absorb, \
+    _normalize_weights, _reduce, finite_type
 
 
 def reduced_type(surface: SurfaceJet) -> TypeData | None:
-    """Finite type of the jet after the preliminary reduction, which can be
-    lower than that of the raw jet: absorbing the pure-b series of
-    a + b^2 x^2 + a x + b^2 turns a x into a x - b^2 x, of type 3, not 4.
-    The reduction's later scaling keeps every monomial, so the type is read
-    right after `_absorb`.  None if no mixed term is left through the jet's
-    order."""
+    """The type that `surfaces._reduce` reads: the jet's after the absorption
+    of its pure series, which can change it.  In a + b^2x^2 + ax + b^2 the
+    ax becomes ax - b^2x, of type 3, not 4; in a + bx + b + ax + b^2x the bx
+    cancels, leaving type 3, not 2.  None if no mixed term is left."""
     return finite_type(SurfaceJet(_absorb(surface)[1]))
 
 
-def prelim_reduce_singular(surface: SurfaceJet):
-    """Reduce a finite-type jet with k > 2 to the bottom-row shape above.
-
-    Kills the pure-x and pure-b series, scales a to coefficient 1, then
-    rescales so the leading mixed coefficient becomes 1.
-    Returns (reduced SurfaceJet in the type-k grading, PointMap, TypeData).
-    """
-    L = surface.order
-
-    def leading(F: Poly) -> tuple:
-        t = finite_type(SurfaceJet(F))
-        if t is None:
-            raise MapError(f"no mixed term through degree {L}; "
-                           "type is undetermined at this truncation")
-        if t.k == 2:
-            raise MapError("jet is of type 2; use the regular reduction")
-        return t.m, t.n
-
-    F, total, (m, n) = _preliminary(surface, leading)
-    k = m + n
-    gammas = tuple(F.coeff(mono_exps(b=j, x=k - j)) for j in range(m + 1, k))
-    t = TypeData(k=k, m=m, n=n, gammas=gammas)
-
-    g = singular_grading(k)
-    reduced = SurfaceJet(F.with_grading(g, L))
-    if not reduced.f_part(t.model(g, L)).up_to_weight(k).is_zero():
-        raise SolveError("singular reduction left weight <= k contamination")
-    return reduced, total.with_grading(g, L), t
+def prelim_reduce_singular(surface: SurfaceJet) -> tuple:
+    """`surfaces._reduce` of a jet of type k > 2: (the shape above, map,
+    TypeData).  MapError if the jet is of type 2."""
+    reduced, pmap, t = _reduce(surface)
+    if t.regular:
+        raise MapError("jet is of type 2; use the regular reduction")
+    return reduced, pmap, t
 
 
 def forbidden_monomials(nu: int, t: TypeData) -> list:

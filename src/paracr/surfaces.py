@@ -1,18 +1,16 @@
-"""Surface jets y = F(a, b, x), product-preserving point maps, and the exact
-transformation of a jet under a map.
+"""Surface jets y = F(a, b, x), product-preserving point maps, finite type,
+and the exact transformation of a jet under a map.
 
 Maps respect the product structure: (X, Y) depend only on (x, y) and (A, B)
 only on (a, b).  A jet is normalized in two stages, in the manner of
-Chern-Moser.  The preliminary reduction `_preliminary` absorbs the pure
-series and scales the leading coefficients in closed form, in the unit
-(total-degree) grading.  Every later step is a map whose weight-preserving
-part is the identity in the jet's own grading, and `apply_map` accepts only
-such maps: one triangular pass over a shared `Substitution` solves the
-defining identity Y(x, F) = F*(A, B, X(x, F)), and an independent
-re-substitution checks it.
-
-The regular and singular cases share `_preliminary` and the weight-by-weight
-normalization loop `_normalize_weights`.
+Chern-Moser.  The preliminary reduction `_reduce`, shared by the regular
+and singular cases, absorbs the pure series, reads the finite type k and
+scales the leading coefficient in closed form.  Every later step is a map
+whose weight-preserving part is the identity in the jet's type-k grading,
+and `apply_map` accepts only such maps: one triangular pass over a shared
+`Substitution` solves the defining identity Y(x, F) = F*(A, B, X(x, F)),
+and an independent re-substitution checks it.  Both cases share the
+weight-by-weight normalization loop `_normalize_weights` too.
 """
 
 from __future__ import annotations
@@ -23,7 +21,8 @@ from functools import reduce
 from math import lcm
 
 from . import cmoperator as cm
-from .poly import Poly, Grading, Substitution, UNIT, mono_exps
+from .poly import Poly, Grading, Substitution, UNIT, VAR_INDEX, mono_exps, \
+    singular_grading
 from .series import SolveError, implicit_solve
 
 
@@ -230,24 +229,60 @@ def _absorb(surface: SurfaceJet) -> tuple:
     return F, Fs, y - P, (a - a0) * ga
 
 
-def _preliminary(surface: SurfaceJet, leading) -> tuple:
-    """The preliminary reduction shared by the regular and singular cases,
-    in closed form in the unit grading, where its maps keep the filtration.
+@dataclass(frozen=True)
+class TypeData:
+    """Finite type k with leading mixed monomial b^m x^n (m + n = k) and the
+    remaining bottom-row coefficients gamma_j, j = m+1 .. k-1."""
 
-    After `_absorb`, `leading(F*)` names the leading mixed monomial
-    b^m x^n, or raises if F* has the wrong shape, and its coefficient c is
-    scaled to 1: by b* = c b when m = 1.  For m > 1 the b-scaling alone
-    cannot reach 1 over the rationals; y* = y/c, a* = a/c divides the whole
-    bottom row by c.  Both the shape and the defining identity
-    Y(x, F) = F*(A, B, X(x, F)) are re-checked exactly.
-    Returns (F*, map, (m, n)) with F* and the map in the unit grading.
+    k: int
+    m: int
+    n: int
+    gammas: tuple = ()
+
+    @property
+    def regular(self) -> bool:
+        return self.k == 2
+
+    def model(self, grading: Grading, order: int) -> Poly:
+        return cm.model_poly(grading, order, self.m, self.n, self.gammas)
+
+
+def finite_type(surface: SurfaceJet) -> TypeData | None:
+    """Smallest k with a nonzero mixed partial d^k F / db^m dx^n at 0 (m, n > 0),
+    with m minimal at that k.  Returns None if no mixed term shows up through
+    the jet's order (undetermined at this truncation)."""
+    F = surface.F
+    if F.coeff(mono_exps(a=1)) == 0:
+        raise MapError("not a graph over a: F_a(0) = 0")
+    ia, ib, ix, iy = (VAR_INDEX[v] for v in "abxy")
+    mixed = [(e[ib] + e[ix], e[ib]) for e in F.terms
+             if e[ib] and e[ix] and not e[ia] and not e[iy]]
+    if not mixed:
+        return None
+    k, m = min(mixed)
+    return TypeData(k=k, m=m, n=k - m)
+
+
+def _reduce(surface: SurfaceJet) -> tuple:
+    """The preliminary reduction of a regular or singular jet, in closed
+    form in the unit grading, where its maps keep the filtration.
+
+    The type (k, m, n) is read once, after `_absorb`, and the coefficient c
+    of b^m x^n is scaled to 1: by b* = c b when m = 1, else by y* = y/c,
+    a* = a/c, since the b-scaling alone cannot reach 1 over the rationals.
+    Exact checks: no pure series, nothing of type-k weight <= k off the
+    model, and Y(x, F) = F*(A, B, X(x, F)).  Returns (F*, map, TypeData),
+    F* and the map in the type-k grading; MapError if no mixed term is left.
     """
     L = surface.order
     F, Fs, Yc, Ac = _absorb(surface)
+    t = finite_type(SurfaceJet(Fs))
+    if t is None:
+        raise MapError(f"no mixed term through degree {L}; "
+                       "type is undetermined at this truncation")
+    k, m, n = t.k, t.m, t.n
     x, a, b = (Poly.var(v, UNIT, L) for v in "xab")
     Bc = b
-
-    m, n = leading(Fs)
     c = Fs.coeff(mono_exps(b=m, x=n))
     if c != 1:
         inv = Fraction(1) / c
@@ -255,36 +290,36 @@ def _preliminary(surface: SurfaceJet, leading) -> tuple:
             Fs, Bc = Fs.substitute({"b": b * inv}), b * c
         else:
             Fs, Yc, Ac = Fs.substitute({"a": a * c}) * inv, Yc * inv, Ac * inv
-
-    if not (Fs.set_zero("a", "b").is_zero() and Fs.set_zero("a", "x").is_zero()
-            and Fs.coeff(mono_exps(a=1)) == 1
-            and Fs.coeff(mono_exps(b=m, x=n)) == 1):
-        raise SolveError("preliminary reduction left a pure series or a "
-                         "coefficient other than 1")
+    t = TypeData(k, m, n, tuple(Fs.coeff(mono_exps(b=j, x=k - j))
+                                for j in range(m + 1, k)))
+    if not (Fs.set_zero("a", "b").is_zero() and Fs.set_zero("a", "x").is_zero()):
+        raise SolveError("preliminary reduction left a pure series")
+    g = singular_grading(k)
+    reduced = SurfaceJet(Fs.with_grading(g, L))
+    if not reduced.f_part(t.model(g, L)).up_to_weight(k).is_zero():
+        raise SolveError(f"preliminary reduction left terms of weight <= {k} "
+                         "off the model")
     if Yc.substitute({"y": F}) != Fs.substitute({"a": Ac, "b": Bc}):
         raise SolveError("preliminary reduction: transformed equation failed "
                          "verification")
-    return Fs, PointMap(x, Yc, Ac, Bc), (m, n)
+    return reduced, PointMap(x, Yc, Ac, Bc).with_grading(g, L), t
 
 
 def preliminary_reduce(surface: SurfaceJet) -> tuple:
-    """Reduce a regular (type 2) jet to the shape a + bx + (weight >= 3).
+    """`_reduce` of a type-2 jet: (a + bx + (weight >= 3), map) in the
+    regular grading.  MapError if the jet is not of type 2."""
+    reduced, pmap, t = _reduce(surface)
+    if not t.regular:
+        raise MapError("jet is not of type 2; use the singular reduction")
+    return reduced, pmap
 
-    Kills pure-x and pure-b series, scales a to coefficient 1 and bx to
-    coefficient 1.  Raises MapError if F_a(0) = 0, or if the jet is not of
-    type 2 (no bx term after reduction; use the singular reduction instead).
-    """
-    def leading(F: Poly) -> tuple:
-        if F.coeff(mono_exps(b=1, x=1)) == 0:
-            raise MapError("jet is not of type 2; use the singular reduction")
-        return 1, 1
 
-    g, L = surface.grading, surface.order
-    F, total, _ = _preliminary(surface, leading)
-    reduced = SurfaceJet(F.with_grading(g, L))
-    if not reduced.f_regular().up_to_weight(2).is_zero():
-        raise SolveError("preliminary reduction left weight-2 contamination")
-    return reduced, total.with_grading(g, L)
+def _compose_steps(steps: list, grading: Grading, order: int) -> PointMap:
+    """s_N o ... o s_1 as ((s_N o s_(N-1)) o ...) o s_1: each composition
+    substitutes a sparse step, not the accumulated map."""
+    if not steps:
+        return PointMap.identity(grading, order)
+    return reduce(PointMap.compose, reversed(steps))
 
 
 def _normalize_weights(surface: SurfaceJet, model: Poly, complement) -> tuple:
@@ -295,10 +330,9 @@ def _normalize_weights(surface: SurfaceJet, model: Poly, complement) -> tuple:
     weight-nu part of F - a - model into the operator's image and a part on
     the monomials `complement(nu)`.  The field that removes the image part
     is applied as a near-identity map, and the new weight-nu part must equal
-    the predicted normal part.  The steps are composed once, at the end,
-    as ((s_N o s_(N-1)) o ...) o s_1, so that each composition substitutes
-    a sparse step, not the accumulated map.  Returns (normalized jet, map,
-    eliminated monomials by weight).
+    the predicted normal part.  The steps are composed once, at the end, by
+    `_compose_steps`.  Returns (normalized jet, map, eliminated monomials by
+    weight).
     """
     g, L = surface.grading, surface.order
     current = surface
@@ -321,6 +355,4 @@ def _normalize_weights(surface: SurfaceJet, model: Poly, complement) -> tuple:
         if current.f_part(model).component(nu) != normal:
             raise RuntimeError(f"normalization at weight {nu} disagrees with "
                                "the linear prediction")
-    if not steps:
-        return current, PointMap.identity(g, L), eliminated
-    return current, reduce(PointMap.compose, reversed(steps)), eliminated
+    return current, _compose_steps(steps, g, L), eliminated

@@ -1,11 +1,14 @@
+import contextlib
+import io
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from paracr import cli, singnorm
-from paracr.poly import Poly, REGULAR, UNIT, VARS
+from paracr.poly import Poly, REGULAR, UNIT, VARS, mono_exps
 from conftest import random_regular_jet
 from paracr.surfaces import SurfaceJet, preliminary_reduce
 from test_acceptance import GOLDEN_NORMALIZE
@@ -170,6 +173,98 @@ def test_type_agrees_with_normalize_singular(capsys):
     assert code == 0
     t = json.loads(out)["type"]
     assert (t["k"], t["m"], t["n"]) == (3, 2, 1)
+
+
+def test_bx_cancelled_by_absorption(capsys, monkeypatch):
+    # absorbing the pure-b series turns a x into a x - b x, which cancels the
+    # raw b x: every command reads type 3, where the raw type is 2
+    expr = "a + bx + b + ax + b^2x"
+    code, out, err = run(capsys, "type", "--expr", expr, "--json")
+    assert code == 0
+    assert json.loads(out) == {"verdict": "singular", "k": 3, "m": 2, "n": 1}
+    code, out, err = run(capsys, "normalize", "--expr", expr)
+    assert code == 1 and "use the singular reduction" in err
+    parse, parses = cli.parse_poly, []
+
+    def counted(*args):
+        parses.append(args)
+        return parse(*args)
+
+    monkeypatch.setattr(cli, "parse_poly", counted)
+    code, out, err = run(capsys, "normalize-singular", "--order", "9",
+                         "--expr", expr, "--json")
+    assert code == 0, err
+    assert len(parses) == 1
+    rep = json.loads(out)
+    t = rep["type"]
+    assert (t["k"], t["m"], t["n"]) == (3, 2, 1) and rep["ok"]
+    code, out, err = run(capsys, "normalize-singular", "--expr", expr)
+    assert code == 0, err
+    assert out.startswith("type k=3, leading monomial b^2 x\n")
+    code, out, err = run(capsys, "autos", "--expr", expr, "--json")
+    assert code == 0
+    assert (json.loads(out)["m"], json.loads(out)["n"]) == (2, 1)
+
+
+coefs = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+
+@st.composite
+def raw_unit_jets(draw) -> str:
+    """ga a + b- and x-linear terms + a x + a x^2 + a pure-b series + mixed
+    terms b^j x^l (j + l <= 4), printed for --expr.  The absorbed pure-b
+    root a0(b) has degree <= 4, so every absorbed term has degree <= 6: a
+    determined type k is at most 6, and a x^2 (weight k + 2) fits the order
+    8 that autos parses at.  Half the time the b x coefficient is the one
+    that the absorption of b cancels."""
+    L = 8
+    ga = draw(coefs.filter(lambda c: c != 0))
+    terms = {mono_exps(a=1): ga}
+    for e in (mono_exps(b=1), mono_exps(x=1), mono_exps(a=1, x=1),
+              mono_exps(a=1, x=2), *(mono_exps(b=j) for j in (2, 3, 4)),
+              *(mono_exps(b=j, x=l) for j in range(1, 4)
+                for l in range(1, 5 - j))):
+        terms[e] = draw(coefs)
+    if draw(st.booleans()):
+        b, ax = terms[mono_exps(b=1)], terms[mono_exps(a=1, x=1)]
+        terms[mono_exps(b=1, x=1)] = b * ax / ga
+    return str(Poly(terms, UNIT, L))
+
+
+def _main(*argv) -> tuple:
+    # `run` without capsys, which Hypothesis cannot reset between examples
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=20, deadline=None)
+@given(raw_unit_jets())
+@example("-a")
+def test_commands_agree_with_type(expr):
+    """`normalize` succeeds exactly on the jets that `type` calls regular,
+    `normalize-singular` exactly on those it calls singular, with the same
+    (k, m, n), and `autos` reports the same (m, n).  `--expr=` keeps a
+    lone leading term such as -a from reading as an option."""
+    code, out, err = _main("type", "--order", "8", f"--expr={expr}", "--json")
+    t = json.loads(out)
+    assert code == (1 if t["verdict"] == "undetermined" else 0), err
+    regular, singular = t["verdict"] == "regular", t["verdict"] == "singular"
+    code, out, err = _main("normalize", "--order", "8", f"--expr={expr}")
+    assert code == (0 if regular else 1), err
+    code, out, err = _main("normalize-singular", f"--expr={expr}", "--json")
+    assert code == (0 if singular else 1), err
+    if singular:
+        rep = json.loads(out)
+        assert rep["ok"]
+        assert (rep["type"]["k"], rep["type"]["m"], rep["type"]["n"]) \
+            == (t["k"], t["m"], t["n"])
+    code, out, err = _main("autos", "--order", "8", f"--expr={expr}", "--json")
+    assert code == (1 if t["verdict"] == "undetermined" else 0), err
+    if code == 0:
+        rep = json.loads(out)
+        assert (rep["m"], rep["n"]) == (t["m"], t["n"])
 
 
 def test_ode_round_trip_through_cli(capsys):

@@ -23,6 +23,9 @@ def test_gradings():
     assert g5.type_k == 5
     with pytest.raises(ValueError):
         singular_grading(1)
+    # one shared instance per k, so that its weight cache is shared too
+    assert singular_grading(2) is REGULAR
+    assert singular_grading(5) is g5
 
 
 def test_truncation_on_construction():
