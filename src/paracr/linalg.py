@@ -4,10 +4,11 @@ Matrices are lists of rows of Fraction.  Elimination pivots by column order
 (first nonzero entry), so results are deterministic; free variables in
 underdetermined solves are set to zero.
 
-`eliminate` is the only elimination loop.  Besides the reduced rows it
-records its row operations, so a matrix can be factored once and every
-right-hand side replayed through the same operations: `rref`, `rank`,
-`nullspace` and `solve` are thin readers of its result.
+`eliminate` is the only elimination loop.  It works over sparse rows, since
+the `cmoperator` matrices are mostly zero, and records its row operations in
+an `Elimination`, so a matrix can be factored once and every right-hand side
+replayed through the same operations: `rref`, `rank`, `nullspace` and
+`solve` are thin readers of its result.
 """
 
 from __future__ import annotations
@@ -54,31 +55,40 @@ class Elimination:
 
 def eliminate(matrix: Sequence[Sequence[Fraction]]) -> tuple:
     """Reduced row echelon form and the operations that produce it.
-    Returns (rows, Elimination)."""
-    m = [list(map(Fraction, row)) for row in matrix]
-    rows, cols = len(m), len(m[0]) if m else 0
+    Returns (rows, Elimination).  Rows are {column: nonzero entry} while
+    eliminating, and dense, sharing one Fraction(0), when returned."""
+    rows, cols = len(matrix), len(matrix[0]) if matrix else 0
+    m = [{j: v if type(v) is Fraction else Fraction(v)
+          for j, v in enumerate(row) if v} for row in matrix]
     pivots, steps = [], []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, rows) if c in m[i]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         inv = Fraction(1) / m[r][c]
-        m[r] = [v * inv for v in m[r]]
+        row = m[r] = {j: v * inv for j, v in m[r].items()}
         updates = []
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [vi - f * vr if vr else vi
-                        for vi, vr in zip(m[i], m[r])]
-                updates.append((i, f))
+        for i, other in enumerate(m):
+            f = other.get(c) if i != r else None
+            if f is None:
+                continue
+            for j, v in row.items():
+                x = other.get(j, 0) - f * v
+                if x:
+                    other[j] = x
+                else:
+                    del other[j]
+            updates.append((i, f))
         steps.append((r, pivot, inv, tuple(updates)))
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return m, Elimination(tuple(pivots), tuple(steps), cols)
+    zero = Fraction(0)
+    dense = [[row.get(j, zero) for j in range(cols)] for row in m]
+    return dense, Elimination(tuple(pivots), tuple(steps), cols)
 
 
 def rref(matrix: Sequence[Sequence[Fraction]]):

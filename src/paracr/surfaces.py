@@ -21,9 +21,9 @@ from functools import reduce
 from math import lcm
 
 from . import cmoperator as cm
-from .poly import Poly, Grading, Substitution, UNIT, VAR_INDEX, mono_exps, \
-    singular_grading
-from .series import SolveError, implicit_solve
+from .poly import Poly, Grading, RelaxedSubstitution, Substitution, UNIT, \
+    VAR_INDEX, mono_exps, singular_grading
+from .series import SolveError
 
 
 @dataclass(frozen=True)
@@ -210,8 +210,10 @@ def _absorb(surface: SurfaceJet) -> tuple:
     With ga = F_a(0), P(x) = F(0, 0, x) and a0(b) the root of
     F(a0(b), b, 0) = 0, the map (x, y - P, ga (a - a0(b)), b) takes F to
     F* = F(a/ga + a0(b), b, x) - P(x), which has no pure-x or pure-b series
-    and coefficient 1 on a.  Returns (F, F*, Y, A), all in the unit grading;
-    MapError if F_a(0) = 0 or F(0) != 0.
+    and coefficient 1 on a.  a0 is solved in one triangular pass over a
+    `RelaxedSubstitution` and re-checked by a fresh substitution, or
+    SolveError.  Returns (F, F*, Y, A), all in the unit grading; MapError
+    if F_a(0) = 0 or F(0) != 0.
     """
     L = surface.order
     F = surface.F.with_grading(UNIT, L)
@@ -222,9 +224,15 @@ def _absorb(surface: SurfaceJet) -> tuple:
         raise MapError("the surface does not pass through the origin: F(0) != 0")
     y, a = Poly.var("y", UNIT, L), Poly.var("a", UNIT, L)
     P = F.set_zero("a", "b")
-    # a0 = -(F(a0, b, 0) - ga a0) / ga; the right side has no linear a term
+    # a0 = G(a0, b) = -(F(a0, b, 0) - ga a0) / ga; G has no linear a term,
     G = (F.set_zero("x") - a * ga) * (Fraction(-1) / ga)
-    a0 = implicit_solve(lambda s: G.substitute({"a": s}), Poly.zero(UNIT, L), L)
+    # so the weight-w part of G(a0) reads a0 only below w: one pass
+    table = RelaxedSubstitution(("a",), UNIT)
+    for w in range(1, L + 1):
+        table.extend("a", table.part(G, w))
+    a0 = table.series("a")
+    if G.substitute({"a": a0}) != a0:
+        raise SolveError("absorption: a0(b) fails a0 = G(a0, b)")
     Fs = F.substitute({"a": a * (Fraction(1) / ga) + a0}) - P
     return F, Fs, y - P, (a - a0) * ga
 

@@ -245,22 +245,21 @@ def _main(*argv) -> tuple:
 def test_commands_agree_with_type(expr):
     """`normalize` succeeds exactly on the jets that `type` calls regular,
     `normalize-singular` exactly on those it calls singular, with the same
-    (k, m, n), and `autos` reports the same (m, n).  `--expr=` keeps a
-    lone leading term such as -a from reading as an option."""
-    code, out, err = _main("type", "--order", "8", f"--expr={expr}", "--json")
+    (k, m, n), and `autos` reports the same (m, n)."""
+    code, out, err = _main("type", "--order", "8", "--expr", expr, "--json")
     t = json.loads(out)
     assert code == (1 if t["verdict"] == "undetermined" else 0), err
     regular, singular = t["verdict"] == "regular", t["verdict"] == "singular"
-    code, out, err = _main("normalize", "--order", "8", f"--expr={expr}")
+    code, out, err = _main("normalize", "--order", "8", "--expr", expr)
     assert code == (0 if regular else 1), err
-    code, out, err = _main("normalize-singular", f"--expr={expr}", "--json")
+    code, out, err = _main("normalize-singular", "--expr", expr, "--json")
     assert code == (0 if singular else 1), err
     if singular:
         rep = json.loads(out)
         assert rep["ok"]
         assert (rep["type"]["k"], rep["type"]["m"], rep["type"]["n"]) \
             == (t["k"], t["m"], t["n"])
-    code, out, err = _main("autos", "--order", "8", f"--expr={expr}", "--json")
+    code, out, err = _main("autos", "--order", "8", "--expr", expr, "--json")
     assert code == (1 if t["verdict"] == "undetermined" else 0), err
     if code == 0:
         rep = json.loads(out)
@@ -315,6 +314,18 @@ def test_exit_codes(capsys):
     assert code == 1  # degenerate jet: MapError
     code, out, err = run(capsys, "normalize")
     assert code == 2 and "--expr or --input" in err
+
+
+def test_expr_with_leading_minus(capsys):
+    # a jet that starts with a sign is the value of --expr, not an option
+    for expr in ("-a+bx", "-2a + bx"):
+        code, out, err = run(capsys, "type", "--expr", expr, "--json")
+        assert code == 0, err
+        assert json.loads(out) == {"verdict": "regular", "k": 2, "m": 1, "n": 1}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["type", "--json", "--expr"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_order_guard(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paracr import cmoperator as cm
 from paracr import linalg
@@ -196,3 +197,72 @@ def test_decompose_checks_run_on_a_cache_hit(monkeypatch):
     for _ in range(2):
         with pytest.raises(RuntimeError, match="infeasible"):
             cm.decompose(p, complement=[])
+
+
+# ---- the assembly against its definition ----------------------------------
+
+def matrix_by_apply_t(ell, grading, model):
+    """operator_matrix by its definition: apply_t of each elementary field,
+    with fresh substitutions per column."""
+    domain = cm.domain_basis(ell, grading)
+    codomain = cm.weighted_monomials(ell, ("a", "b", "x"), grading)
+    row_index = {e: i for i, e in enumerate(codomain)}
+    matrix = [[Fraction(0)] * len(domain) for _ in codomain]
+    for col, (comp, exps) in enumerate(domain):
+        field_ = cm.basis_field(comp, exps, grading, ell + 1)
+        for e, c in cm.apply_t(field_, model).terms.items():
+            matrix[row_index[e]][col] = c
+    return matrix, domain, codomain
+
+
+@st.composite
+def singular_operators(draw):
+    """(nu, grading, model) for a type-k model with nonzero gammas, at the
+    weights a singular jet of order k + 6 reaches; nu >= 2k occurs, where T
+    is no longer affine in the gammas."""
+    k = draw(st.integers(3, 5))
+    m = draw(st.integers(1, k - 1))
+    gammas = draw(st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+        min_size=k - 1 - m, max_size=k - 1 - m))
+    g = singular_grading(k)
+    nu = draw(st.integers(k + 1, k + 6))
+    return nu, g, cm.model_poly(g, k + 6, m, k - m, gammas)
+
+
+@settings(max_examples=40, deadline=None)
+@given(singular_operators())
+def test_singular_operator_matrix_matches_apply_t(key):
+    assert cm.operator_matrix(*key) == matrix_by_apply_t(*key)
+
+
+@pytest.mark.parametrize("ell", range(9))
+def test_regular_operator_matrix_matches_apply_t(ell):
+    assert cm.operator_matrix(ell) == matrix_by_apply_t(ell, REGULAR, None)
+
+
+def test_decompose_catches_a_corrupted_column(monkeypatch):
+    # one wrong entry in a column the solution uses: the round trip through
+    # apply_t, which does not share the assembly's code, must catch it
+    p = weight_six_jet_part()
+    cm._solver.cache_clear()
+    v, _ = cm.decompose(p)
+    _, domain, _ = cm.operator_matrix(6)
+    parts = {"eta": v.eta, "alpha": v.alpha, "beta": v.beta, "xi": v.xi}
+    col = next(i for i, (comp, exps) in enumerate(domain)
+               if parts[comp].coeff(exps))
+    exact = cm.operator_matrix
+
+    def corrupted(*args, **kwargs):
+        matrix, domain, codomain = exact(*args, **kwargs)
+        row = next(r for r in matrix if r[col])
+        row[col] += 1
+        return matrix, domain, codomain
+
+    monkeypatch.setattr(cm, "operator_matrix", corrupted)
+    cm._solver.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="round-trip|infeasible"):
+            cm.decompose(p)
+    finally:
+        cm._solver.cache_clear()

@@ -138,3 +138,64 @@ def test_replay_matches_augmented_reduction(system):
     assert elim.solve(rhs) == want
     for j in range(len(m[0])):
         assert elim.replay([row[j] for row in m]) == [row[j] for row in rows]
+
+
+# ---- the sparse elimination against the dense loop it replaced ------------
+
+def dense_eliminate(matrix):
+    """Gauss-Jordan over dense rows, recording the same steps as
+    linalg.eliminate: (row, pivot_row, inverse, ((other, factor), ...))."""
+    m = [list(map(Fraction, row)) for row in matrix]
+    rows, cols = len(m), len(m[0]) if m else 0
+    pivots, steps, r = [], [], 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        updates = []
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                updates.append((i, f))
+        steps.append((r, pivot, inv, tuple(updates)))
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, tuple(pivots), tuple(steps)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Tall, wide or square rational matrices, about one entry in four
+    nonzero, with a forced zero row and zero column at times, and at times a
+    last row that combines two others."""
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    nonzero = entries.filter(bool)
+    m = [[draw(nonzero) if draw(st.integers(0, 3)) == 0 else Fraction(0)
+          for _ in range(cols)] for _ in range(rows)]
+    if rows and draw(st.booleans()):
+        m[draw(st.integers(0, rows - 1))] = [Fraction(0)] * cols
+    if rows and cols and draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        for row in m:
+            row[j] = Fraction(0)
+    if rows >= 3 and draw(st.booleans()):
+        a, b = draw(nonzero), draw(nonzero)
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+def test_sparse_elimination_matches_dense(m):
+    rows, elim = linalg.eliminate(m)
+    want_rows, want_pivots, want_steps = dense_eliminate(m)
+    assert rows == want_rows
+    assert all(type(v) is Fraction for row in rows for v in row)
+    assert (elim.pivots, elim.steps) == (want_pivots, want_steps)
+    assert elim.columns == (len(m[0]) if m else 0)

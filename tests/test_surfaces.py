@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from paracr import surfaces
 from paracr.cmoperator import weighted_monomials
-from paracr.poly import (Poly, REGULAR, UNIT, Substitution,
-                         SubstitutionError, mono_exps, singular_grading)
+from paracr.poly import (Poly, REGULAR, UNIT, RelaxedSubstitution,
+                         Substitution, SubstitutionError, mono_exps,
+                         singular_grading)
 from paracr.series import SolveError, implicit_solve
 from paracr.singnorm import prelim_reduce_singular
 from paracr.surfaces import (MapError, PointMap, SurfaceJet, apply_map,
@@ -182,6 +183,30 @@ def test_preliminary_reduce_transform_consistent():
     # the map; it keeps the regular filtration, so substitution checks the
     # defining identity exactly
     assert satisfies_identity(S.F, pm, red.F)
+
+
+def test_absorption_one_pass_and_check_is_live(monkeypatch):
+    g, L = UNIT, 8
+    F = (Poly.monomial(2, g, L, a=1) + Poly.monomial(3, g, L, b=2)
+         + Poly.monomial(-1, g, L, a=2, b=1) + Poly.monomial(1, g, L, a=1, b=1)
+         + Poly.monomial(1, g, L, b=1, x=1))
+    S = SurfaceJet(F.with_grading(REGULAR, L))
+    # a0(b) agrees with growing sweeps of a0 = G(a0, b)
+    a = Poly.var("a", g, L)
+    G = (F.set_zero("x") - a * 2) * Fraction(-1, 2)
+    a0 = implicit_solve(lambda s: G.substitute({"a": s}), Poly.zero(g, L), L)
+    assert surfaces._absorb(S)[3] == (a - a0) * 2
+    # a wrong part of a0(b) is caught by the closing check a0 = G(a0, b)
+    exact = RelaxedSubstitution.extend
+
+    def corrupted(self, var, part):
+        if part.order == 3:
+            part = part + Poly.monomial(1, g, 3, b=3)
+        exact(self, var, part)
+
+    monkeypatch.setattr(RelaxedSubstitution, "extend", corrupted)
+    with pytest.raises(SolveError, match="absorption"):
+        preliminary_reduce(S)
 
 
 def test_preliminary_reduce_rejects_degenerate():
