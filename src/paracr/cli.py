@@ -212,7 +212,10 @@ def _read_expr(args) -> str:
 
 
 def _max_order() -> int:
-    return int(os.environ.get("PARACR_MAX_ORDER", DEFAULT_MAX_ORDER))
+    raw = os.environ.get("PARACR_MAX_ORDER", str(DEFAULT_MAX_ORDER))
+    if not raw.strip().isdecimal() or int(raw) < 2:
+        raise ConfigError(f"PARACR_MAX_ORDER must be an integer >= 2, not {raw!r}")
+    return int(raw)
 
 
 def _check_bound(flag: str, value: int, lowest: int):

@@ -5,12 +5,13 @@ ODE jets live in the variables (x, y, p) with p standing for y', truncated by
 total degree.  Converting a surface to an ODE costs two x-orders, because B
 is built from the second x-derivative of F.
 
-Both directions solve a fixed point that is triangular in the degree: F from
-F = a + bx + (double x-integral of B(x, F, F_x)), and the initial conditions
-a, b from y = F(a, b, x), p = F_x(a, b, x).  Each is solved in one pass over
-a `RelaxedSubstitution`, which computes each degree of every product of
-powers of the unknown series once, and then re-checked exactly by a fresh
-substitution.
+Both directions solve a fixed point that is triangular in the degree, in
+one pass over a `RelaxedSubstitution`, which computes each degree of every
+product of powers of the unknown series once, and re-check it exactly by a
+fresh substitution.  The initial conditions a, b from y = F(a, b, x),
+p = F_x(a, b, x) form a polynomial system, solved by `implicit_solve`.  F
+from F = a + bx + (double x-integral of B(x, F, F_x)) is not one, since its
+right side integrates, so `ode_to_surface` runs its own pass.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Poly, RelaxedSubstitution, Substitution, UNIT, VAR_INDEX
-from .series import SolveError, ode_solve
+from .poly import Poly, RelaxedSubstitution, UNIT, VAR_INDEX
+from .series import SolveError, implicit_solve, ode_solve
 
 
 @dataclass(frozen=True)
@@ -100,13 +101,13 @@ def eliminate_initial_conditions(surface) -> EliminationData:
     """Solve y = F(a, b, x), p = F_x(a, b, x) for a(x, y, p), b(x, y, p),
     where F = a + c bx + f with c != 0 and f of degree 2 and up.
 
-    One triangular pass over a `RelaxedSubstitution` sets, at each degree
-    w, the part of a from a = y - (F - a)(a, b, x), then that of b from
-    b = (p - (F_x - c b)(a, b, x)) / c.  The degree-w part of a reads a and
-    b only through degree w - 1, and that of b reads a through degree w
-    (f_x has no term linear in b).  A fresh substitution then re-checks
-    both identities exactly, or SolveError.  phi is (integral of b in x) -
-    x p as for c = 1, so for c != 1 it starts with (1/c - 1) x p."""
+    `implicit_solve` sets, at each degree w, the part of a from
+    a = y - (F - a)(a, b, x), then that of b from
+    b = (p - (F_x - c b)(a, b, x)) / c: the degree-w part of a reads a and b
+    only through degree w - 1, and that of b reads a through degree w (f_x
+    has no term linear in b).  Its fresh substitution re-checks both
+    identities exactly, or SolveError.  phi is (integral of b in x) - x p as
+    for c = 1, so for c != 1 it starts with (1/c - 1) x p."""
     L = surface.order
     F = surface.F.with_grading(UNIT, L)
     x, y, p, a = (Poly.var(v, UNIT, L) for v in "xypa")
@@ -116,20 +117,14 @@ def eliminate_initial_conditions(surface) -> EliminationData:
         raise ValueError("elimination expects the shape a + bx + higher order")
     inv_c = 1 / Fraction(c)
     Fx = F.partial("x").with_order(L)
-    rest_a = F - a
-    rest_b = (Fx - Poly.monomial(c, UNIT, L, b=1)) * inv_c
-    table = RelaxedSubstitution(("a", "b"), UNIT)
-    for w in range(1, L + 1):
-        table.extend("a", (y if w == 1 else 0) - table.part(rest_a, w))
-        table.extend("b", (p * inv_c if w == 1 else 0) - table.part(rest_b, w))
-    aS, bS = table.series("a"), table.series("b")
-    on_solution = Substitution({"a": aS, "b": bS}, UNIT, L)
-    if on_solution(F) != y or on_solution(Fx) != p:
+    G = {"a": -(F - a), "b": (Fx - Poly.monomial(c, UNIT, L, b=1)) * -inv_c}
+    try:
+        s = implicit_solve(G, {"a": y, "b": p * inv_c})
+    except SolveError as exc:
         raise SolveError("elimination of the initial conditions fails "
-                         "F(a, b, x) = y or F_x(a, b, x) = p")
-
-    phi = bS.integrate("x").with_order(L) - x * p
-    return EliminationData(a_series=aS, b_series=bS, phi=phi)
+                         f"F(a, b, x) = y or F_x(a, b, x) = p: {exc}") from None
+    phi = s["b"].integrate("x").with_order(L) - x * p
+    return EliminationData(a_series=s["a"], b_series=s["b"], phi=phi)
 
 
 def surface_to_ode(surface) -> tuple:

@@ -103,14 +103,8 @@ class ChainData:
 
 def _a_of_xy(f: Poly) -> Poly:
     """Solve y = a + f(a, 0, x) for a as a series in (x, y)."""
-    g, L = f.grading, f.order
-    y = Poly.var("y", g, L)
-    f0 = f.set_zero("b")
-
-    def rhs(s: Poly) -> Poly:
-        return y - f0.substitute({"a": s})
-
-    return implicit_solve(rhs, y, L)
+    y = Poly.var("y", f.grading, f.order)
+    return implicit_solve({"a": y - f.set_zero("b")})["a"]
 
 
 def _subst_var(series_in_a: Poly, var: str) -> Poly:
@@ -209,11 +203,11 @@ def solve_chain(f: Poly) -> ChainData:
         pi = pi + rhs_pi.coeff_series(a=n - 2) * Fraction(1, n * (n - 1)) * t ** n
     dp = p.partial("a").with_order(L)
     q = (Poly.const(1, g, L) + dp * pi).integrate("a").with_order(L)
-
-    def psi_rhs(s: Poly) -> Poly:
-        return q - pi * p - f.substitute({"a": s, "b": pi, "x": p})
-
-    psi = implicit_solve(psi_rhs, q, L)
+    # y stands for psi: it has the weight of a and f has no y, and the
+    # substitution is simultaneous, so the a inside pi(a) and p(a) stays a
+    y = Poly.var("y", g, L)
+    psi = implicit_solve(
+        {"y": q - pi * p - f.substitute({"a": y, "b": pi, "x": p})})["y"]
     return ChainData(p=p, pi=pi, q=q, psi=psi)
 
 

@@ -1,44 +1,73 @@
-"""Truncated-series solvers: implicit equations, reciprocals, square roots,
-reversion and series solutions of ODEs.
+"""Truncated-series solvers: triangular implicit systems, reciprocals,
+square roots, reversion and series solutions of ODEs.
 
-Everything works order-by-order in the weight filtration, so a failure is
-always attributable to a specific weight.  No floating point.
+`implicit_solve` is the one fixed-point solver: one relaxed pass, weight by
+weight, then one exact check.  Reciprocals and square roots share one
+binomial series.  No floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .poly import Poly, VAR_INDEX, mono_exps
+from .poly import Poly, RelaxedSubstitution, Substitution, SubstitutionError, \
+    VAR_INDEX, mono_exps
 
 
 class SolveError(RuntimeError):
-    """An order-by-order solve stalled; the message names the blocking weight."""
+    """A solve stalled or failed its check; the message names the weight."""
 
 
-def implicit_solve(rhs: Callable[[Poly], Poly], seed: Poly, order: int | None = None) -> Poly:
-    """Solve s = rhs(s) by order-by-order improvement.
-
-    `rhs` must be a contraction in the weight filtration: replacing s by a
-    series that agrees with the solution up to weight w must pin rhs(s) down
-    up to weight > w.  The returned series satisfies s == rhs(s) at its
-    truncation order, asserted before returning.
-    """
-    if order is None:
-        order = seed.order
-    # Grow the truncation one weight per sweep: with s exact up to weight
-    # w - 1, contraction makes rhs(s) exact up to weight w, and computing at
-    # truncation w keeps the early sweeps cheap.
-    s = seed.with_order(0)
-    for w in range(1, order + 1):
-        s = rhs(s.with_order(w)).with_order(w)
-    s = s.with_order(order)
-    residual = rhs(s).with_order(order) - s
-    if not residual.is_zero():
-        raise SolveError(
-            f"implicit solve stalled at weight {residual.min_weight()}")
+def implicit_solve(G: Mapping[str, Poly],
+                   base: Mapping[str, Poly] | None = None) -> dict:
+    """The series s_v = base_v + G_v(s) for each unknown v, truncated at the
+    least order of the inputs; s replaces the unknowns in every G_v, not in
+    base.  The system must be triangular: at each weight w, in one pass over
+    a `RelaxedSubstitution` (van der Hoeven, JSC 2002), the weight-w part of
+    each unknown is set in the order given, so G_v(s) may read the unknowns
+    before v through w and the others below w.  SolveError names the unknown
+    and the weight if G_v reads a part not set yet, if s_v is nonzero below
+    the weight of v, or if one `Substitution` of the result fails to
+    re-check an equation exactly."""
+    inputs = [*G.values(), *(base or {}).values()]
+    g, order = inputs[0].grading, min(p.order for p in inputs)
+    base = {v: (base or {}).get(v, Poly.zero(g, order)) for v in G}
+    table = RelaxedSubstitution(G, g)
+    for w in range(order + 1):
+        for v, Gv in G.items():
+            try:
+                part = table.part(Gv, w) + base[v].component(w)
+            except SubstitutionError as exc:
+                raise SolveError(f"implicit solve: the weight-{w} part of {v} "
+                                 f"is not triangular: {exc}") from None
+            if w >= g.weight_of(v):
+                table.extend(v, part)
+            elif not part.is_zero():
+                raise SolveError(f"implicit solve: {v} has a part of weight "
+                                 f"{w}, below its weight {g.weight_of(v)}")
+    s = {v: table.series(v) for v in G}
+    check = Substitution(s, g, order)
+    for v, Gv in G.items():
+        rhs = check(Gv) + base[v]
+        if rhs != s[v]:
+            raise SolveError(f"implicit solve: {v} fails its equation at weight "
+                             f"{(rhs - s[v]).min_weight()}")
     return s
+
+
+def _binomial(p: Poly, alpha: Fraction) -> Poly:
+    """(p/c0)^alpha = sum_k binom(alpha, k) u^k with u = p/c0 - 1, for the
+    nonzero constant term c0 of p; u has weight >= 1, so u^k vanishes at
+    p's order once k exceeds it."""
+    u = p * (1 / p.constant_term()) - 1
+    result = power = Poly.const(1, p.grading, p.order)
+    coef = Fraction(1)
+    for k in range(1, p.order + 1):
+        power = power * u
+        coef = coef * (alpha - k + 1) / k
+        result = result + power * coef
+    return result
 
 
 def reciprocal(p: Poly) -> Poly:
@@ -46,21 +75,7 @@ def reciprocal(p: Poly) -> Poly:
     c0 = p.constant_term()
     if c0 == 0:
         raise SolveError("reciprocal of a series with zero constant term")
-    rest = p - c0
-    inv0 = Fraction(1) / c0
-    # 1/p = inv0 * 1/(1 + rest/c0), geometric series
-    u = rest * inv0
-    result = Poly.const(1, p.grading, p.order)
-    power = Poly.const(1, p.grading, p.order)
-    mw = u.min_weight()
-    if mw is None:
-        return result * inv0
-    k = 1
-    while k * mw <= p.order:
-        power = power * u
-        result = result + (power if k % 2 == 0 else -power)
-        k += 1
-    return result * inv0
+    return _binomial(p, Fraction(-1)) * (1 / c0)
 
 
 def divide(p: Poly, q: Poly) -> Poly:
@@ -74,13 +89,7 @@ def sqrt_unit(p: Poly) -> Poly:
     if c0 <= 0:
         raise SolveError("series square root needs a positive constant term")
     r = _fraction_sqrt(c0)
-    # solve s = (p/r + r... ) via Newton-style fixpoint: s = (s + p/s)/2
-    seed = Poly.const(r, p.grading, p.order)
-
-    def step(s: Poly) -> Poly:
-        return (s + divide(p, s)) * Fraction(1, 2)
-
-    return implicit_solve(step, seed, p.order)
+    return _binomial(p, Fraction(1, 2)) * r
 
 
 def _fraction_sqrt(c: Fraction) -> Fraction:
@@ -94,7 +103,8 @@ def _fraction_sqrt(c: Fraction) -> Fraction:
 
 
 def reverse_univariate(p: Poly, var: str) -> Poly:
-    """Compositional inverse of p = c*var + higher (c != 0) in one variable."""
+    """Compositional inverse of p = c*var + higher (c != 0) in one variable:
+    q = var/c - rest(q)/c with rest = p - c*var."""
     i = VAR_INDEX[var]
     lin = p.coeff(mono_exps(**{var: 1}))
     if lin == 0:
@@ -102,12 +112,8 @@ def reverse_univariate(p: Poly, var: str) -> Poly:
     if any(exps[i] == 0 and c != 0 for exps, c in p.terms.items()):
         raise SolveError("series reversion needs zero constant term")
     t = Poly.var(var, p.grading, p.order)
-    rest = p - t * lin
-
-    def step(q: Poly) -> Poly:
-        return (t - rest.substitute({var: q})) * (Fraction(1) / lin)
-
-    return implicit_solve(step, t * (Fraction(1) / lin), p.order)
+    inv = 1 / lin
+    return implicit_solve({var: (t * lin - p) * inv}, {var: t * inv})[var]
 
 
 def ode_solve(deriv_order: int,

@@ -21,9 +21,9 @@ from functools import reduce
 from math import lcm
 
 from . import cmoperator as cm
-from .poly import Poly, Grading, RelaxedSubstitution, Substitution, UNIT, \
-    VAR_INDEX, mono_exps, singular_grading
-from .series import SolveError
+from .poly import Poly, Grading, Substitution, UNIT, VAR_INDEX, mono_exps, \
+    singular_grading
+from .series import SolveError, implicit_solve
 
 
 @dataclass(frozen=True)
@@ -109,9 +109,9 @@ class MapError(ValueError):
 
 def invert_pair(P: Poly, Q: Poly, variables: tuple) -> tuple:
     """Inverse of the 2-variable map (u, v) -> (P(u, v), Q(u, v)) with
-    invertible linear part, as series in the same two variable names.
-    Computed in the grading of the inputs: the truncation grows one weight
-    per sweep, and a last sweep at full order must reproduce its input."""
+    invertible linear part M, as series in the same two variable names:
+    s = M^-1 (u, v) - M^-1 (h1, h2)(s), with h = (P, Q) - M (u, v), by
+    `implicit_solve` in the grading of the inputs."""
     v1, v2 = variables
     m11 = P.coeff(mono_exps(**{v1: 1}))
     m12 = P.coeff(mono_exps(**{v2: 1}))
@@ -125,22 +125,9 @@ def invert_pair(P: Poly, Q: Poly, variables: tuple) -> tuple:
     t1, t2 = Poly.var(v1, g, L), Poly.var(v2, g, L)
     h1 = P - t1 * m11 - t2 * m12
     h2 = Q - t1 * m21 - t2 * m22
-
-    def sweep(s1: Poly, s2: Poly) -> tuple:
-        subs = {v1: s1, v2: s2}
-        r1 = t1 - h1.substitute(subs)
-        r2 = t2 - h2.substitute(subs)
-        return r1 * i11 + r2 * i12, r1 * i21 + r2 * i22
-
-    # h1, h2 have no linear part and every weight is >= 1, so the weight-w
-    # part of a sweep only reads weights < w of its input: a state exact
-    # through weight w - 1 comes out exact through w.
-    state = (t1 * i11 + t2 * i12, t1 * i21 + t2 * i22)
-    for w in range(1, L + 1):
-        state = sweep(state[0].with_order(w), state[1].with_order(w))
-    if sweep(*state) != state:
-        raise SolveError("series inversion did not converge")
-    return state
+    s = implicit_solve({v1: -(h1 * i11 + h2 * i12), v2: -(h1 * i21 + h2 * i22)},
+                       {v1: t1 * i11 + t2 * i12, v2: t1 * i21 + t2 * i22})
+    return s[v1], s[v2]
 
 
 def apply_map(surface: SurfaceJet, pmap: PointMap) -> SurfaceJet:
@@ -210,9 +197,9 @@ def _absorb(surface: SurfaceJet) -> tuple:
     With ga = F_a(0), P(x) = F(0, 0, x) and a0(b) the root of
     F(a0(b), b, 0) = 0, the map (x, y - P, ga (a - a0(b)), b) takes F to
     F* = F(a/ga + a0(b), b, x) - P(x), which has no pure-x or pure-b series
-    and coefficient 1 on a.  a0 is solved in one triangular pass over a
-    `RelaxedSubstitution` and re-checked by a fresh substitution, or
-    SolveError.  Returns (F, F*, Y, A), all in the unit grading; MapError
+    and coefficient 1 on a.  a0 = G(a0, b) is solved by `implicit_solve`,
+    which re-checks it exactly; its SolveError gets the prefix
+    "absorption".  Returns (F, F*, Y, A), all in the unit grading; MapError
     if F_a(0) = 0 or F(0) != 0.
     """
     L = surface.order
@@ -225,14 +212,12 @@ def _absorb(surface: SurfaceJet) -> tuple:
     y, a = Poly.var("y", UNIT, L), Poly.var("a", UNIT, L)
     P = F.set_zero("a", "b")
     # a0 = G(a0, b) = -(F(a0, b, 0) - ga a0) / ga; G has no linear a term,
+    # so the system is triangular
     G = (F.set_zero("x") - a * ga) * (Fraction(-1) / ga)
-    # so the weight-w part of G(a0) reads a0 only below w: one pass
-    table = RelaxedSubstitution(("a",), UNIT)
-    for w in range(1, L + 1):
-        table.extend("a", table.part(G, w))
-    a0 = table.series("a")
-    if G.substitute({"a": a0}) != a0:
-        raise SolveError("absorption: a0(b) fails a0 = G(a0, b)")
+    try:
+        a0 = implicit_solve({"a": G})["a"]
+    except SolveError as exc:
+        raise SolveError(f"absorption: a0(b) = G(a0, b): {exc}") from None
     Fs = F.substitute({"a": a * (Fraction(1) / ga) + a0}) - P
     return F, Fs, y - P, (a - a0) * ga
 

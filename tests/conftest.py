@@ -6,7 +6,27 @@ from fractions import Fraction
 
 from paracr.cmoperator import weighted_monomials
 from paracr.poly import Poly, REGULAR, UNIT, singular_grading
+from paracr.series import SolveError
 from paracr.surfaces import SurfaceJet
+
+
+def sweep_solve(rhs, seed, order: int):
+    """Oracle for `implicit_solve`: s = rhs(s) by growing sweeps.  The state
+    is a Poly or a tuple of Polys.  With s exact through weight w - 1, a
+    contraction makes rhs(s) exact through w, and each sweep runs at
+    truncation w; a last sweep at `order` must reproduce its input."""
+    def trunc(s, w):
+        if isinstance(s, Poly):
+            return s.with_order(w)
+        return tuple(c.with_order(w) for c in s)
+
+    s = trunc(seed, 0)
+    for w in range(1, order + 1):
+        s = trunc(rhs(trunc(s, w)), w)
+    s = trunc(s, order)
+    if trunc(rhs(s), order) != s:
+        raise SolveError("growing sweeps did not converge")
+    return s
 
 
 def random_regular_jet(rng: random.Random, order: int = 8,

@@ -341,6 +341,13 @@ def test_order_guard(capsys, monkeypatch):
     assert code == 2
 
 
+def test_malformed_order_guard(capsys, monkeypatch):
+    for value in ("abc", "-3", "1", "2.5"):
+        monkeypatch.setenv("PARACR_MAX_ORDER", value)
+        code, out, err = run(capsys, "type", "--expr", "a+bx")
+        assert code == 2 and "PARACR_MAX_ORDER" in err and not out
+
+
 def test_input_file(capsys, tmp_path):
     path = tmp_path / "jet.txt"
     path.write_text("# a flat jet\na + b x\n", encoding="utf-8")

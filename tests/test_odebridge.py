@@ -9,9 +9,9 @@ from paracr import odebridge as ob
 from paracr.cmoperator import weighted_monomials
 from paracr.poly import Poly, REGULAR, RelaxedSubstitution, UNIT, VAR_INDEX, \
     mono_exps
-from paracr.series import SolveError, implicit_solve
+from paracr.series import SolveError
 from paracr.surfaces import SurfaceJet
-from conftest import random_ode_jet
+from conftest import random_ode_jet, sweep_solve
 
 
 def ode(p):
@@ -271,7 +271,7 @@ def sweeps_surface(ode_jet, order):
         G = B.substitute({"y": F, "p": F.partial("x")})
         return base + G.integrate("x").integrate("x")
 
-    return implicit_solve(rhs, base, order)
+    return sweep_solve(rhs, base, order)
 
 
 def per_degree_elimination(surface):

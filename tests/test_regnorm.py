@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paracr import regnorm
 from paracr.poly import Poly, REGULAR
 from paracr.surfaces import PointMap, SurfaceJet, apply_map
-from conftest import random_regular_jet
+from conftest import random_regular_jet, sweep_solve
 
 
 def jet(*terms, order=8):
@@ -106,3 +107,20 @@ def test_chain_solves_its_equations():
     lhs_pi = chain.pi.partial("a", 2).with_order(4) + (dpi * dpi * dp).up_to_weight(4)
     rhs_pi = (f.coeff_series(b=2, x=3) * 2).up_to_weight(4)
     assert lhs_pi == rhs_pi
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 8))
+def test_relaxed_solves_match_sweeps(seed, order):
+    # _a_of_xy and psi against growing sweeps of their old right sides
+    f = random_regular_jet(random.Random(seed), order=order).f_regular()
+    y = Poly.var("y", REGULAR, order)
+    a_xy = sweep_solve(lambda s: y - f.set_zero("b").substitute({"a": s}),
+                       y, order)
+    assert regnorm._a_of_xy(f) == a_xy
+    chain = regnorm.solve_chain(f)
+    p, pi, q = chain.p, chain.pi, chain.q
+    psi = sweep_solve(
+        lambda s: q - pi * p - f.substitute({"a": s, "b": pi, "x": p}),
+        q, order)
+    assert chain.psi == psi and chain.psi.order == order

@@ -9,11 +9,11 @@ from paracr.cmoperator import weighted_monomials
 from paracr.poly import (Poly, REGULAR, UNIT, RelaxedSubstitution,
                          Substitution, SubstitutionError, mono_exps,
                          singular_grading)
-from paracr.series import SolveError, implicit_solve
+from paracr.series import SolveError
 from paracr.singnorm import prelim_reduce_singular
 from paracr.surfaces import (MapError, PointMap, SurfaceJet, apply_map,
                              invert_pair, preliminary_reduce)
-from conftest import random_regular_jet, random_singular_jet
+from conftest import random_regular_jet, random_singular_jet, sweep_solve
 
 
 def var(name, g=REGULAR, order=8):
@@ -194,7 +194,7 @@ def test_absorption_one_pass_and_check_is_live(monkeypatch):
     # a0(b) agrees with growing sweeps of a0 = G(a0, b)
     a = Poly.var("a", g, L)
     G = (F.set_zero("x") - a * 2) * Fraction(-1, 2)
-    a0 = implicit_solve(lambda s: G.substitute({"a": s}), Poly.zero(g, L), L)
+    a0 = sweep_solve(lambda s: G.substitute({"a": s}), Poly.zero(g, L), L)
     assert surfaces._absorb(S)[3] == (a - a0) * 2
     # a wrong part of a0(b) is caught by the closing check a0 = G(a0, b)
     exact = RelaxedSubstitution.extend
@@ -274,12 +274,12 @@ def test_apply_map_identity_and_functoriality(case):
     once = apply_map(S, m1)
     assert satisfies_identity(S.F, m1, once.F)
     # the fixed point of u = Y(x, F) - (u(A, B, X(x, F)) - u), by the
-    # series solver: the formulation the triangular pass replaces
+    # sweep oracle: the formulation the triangular pass replaces
     on_surface = {"y": S.F}
     y_val = m1.Yc.substitute(on_surface)
     image = {"a": m1.Ac, "b": m1.Bc, "x": m1.Xc.substitute(on_surface)}
-    fixed_point = implicit_solve(lambda u: y_val - (u.substitute(image) - u),
-                                 Poly.zero(S.grading, S.order), S.order)
+    fixed_point = sweep_solve(lambda u: y_val - (u.substitute(image) - u),
+                              Poly.zero(S.grading, S.order), S.order)
     assert once.F == fixed_point
     twice = apply_map(once, m2)
     assert satisfies_identity(once.F, m2, twice.F)
