@@ -245,9 +245,14 @@ class Poly:
             other = Poly.const(other, self.grading, self.order)
         self._check(other)
         order = min(self.order, other.order)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            terms[exps] = terms.get(exps, 0) + c
+        # add into a copy of the larger operand: one step per smaller term
+        big, small = self.terms, other.terms
+        if len(big) < len(small):
+            big, small = small, big
+        terms = dict(big)
+        for exps, c in small.items():
+            old = terms.get(exps)
+            terms[exps] = c if old is None else old + c
         if order < self.order or order < other.order:
             weight = self.grading.weight
             terms = {e: c for e, c in terms.items() if weight(e) <= order}
@@ -509,11 +514,15 @@ class RelaxedSubstitution:
     filtration; `extend` sets its next homogeneous part.  `part(poly, w)` is
     the weight-w part of poly(subs).  Every product of powers of the series
     gains its weight-d part once, as sum_u [prev]_u [s]_(d-u) over integer
-    numerators, so solving a fixed point degree by degree computes each
-    product part once.  A read of a part not yet set raises
-    SubstitutionError: the fixed point being solved is not triangular."""
+    numerators, with u bounded by the valuations (lowest nonzero weights) of
+    the factors, so solving a fixed point degree by degree computes each
+    product part once.  Each polynomial read is grouped by weight once, so a
+    read at weight w skips its heavier terms.  A read of a part not yet set
+    raises SubstitutionError: the fixed point being solved is not
+    triangular."""
 
-    __slots__ = ("grading", "positions", "weights", "_series", "_terms", "_parts")
+    __slots__ = ("grading", "positions", "weights", "_series", "_terms",
+                 "_parts", "_reads")
 
     def __init__(self, variables, grading: Grading):
         self.grading = grading
@@ -523,6 +532,7 @@ class RelaxedSubstitution:
         self._series = [[(1, [])] * w for w in self.weights]
         self._terms = [{} for _ in self.positions]
         self._parts: dict = {}
+        self._reads: dict = {}
 
     def extend(self, var: str, part: Poly):
         """Set the next homogeneous part of the series substituted for var."""
@@ -548,6 +558,12 @@ class RelaxedSubstitution:
                                     f"{VARS[self.positions[j]]} is not set yet")
         return parts[w]
 
+    def _valuation(self, j: int) -> int:
+        """A lower bound for the weight of every nonzero part of series j:
+        its first nonzero part, or else the first part not set yet."""
+        parts = self._series[j]
+        return next((w for w, (_, items) in enumerate(parts) if items), len(parts))
+
     def _product(self, key: tuple, w: int) -> tuple:
         """Integer form (d, [(exps, n)]) of the weight-w part of the product
         of the series to the powers `key`."""
@@ -561,10 +577,10 @@ class RelaxedSubstitution:
         if not any(prev):
             p = self._read(pos, w)
         else:
-            # prev weighs at least `low` and the series at least its weight
-            low = sum(e * wt for e, wt in zip(prev, self.weights))
+            # prev and the series vanish below their valuations
+            low = sum(e * self._valuation(j) for j, e in enumerate(prev) if e)
             pairs = [(self._product(prev, u), self._read(pos, w - u))
-                     for u in range(low, w - self.weights[pos] + 1)]
+                     for u in range(low, w - self._valuation(pos) + 1)]
             pairs = [(a, b) for a, b in pairs if a[1] and b[1]]
             den = lcm(*(a[0] * b[0] for a, b in pairs))
             acc: dict = {}
@@ -580,27 +596,46 @@ class RelaxedSubstitution:
         self._parts[(key, w)] = p
         return p
 
+    def _items(self, poly: Poly) -> tuple:
+        """poly as (d, [(weight, key, shift, weight of shift, n)]), each
+        term n / d split into the powers `key` of the substituted variables
+        and the exponents `shift` of the others, sorted by weight.  Formed
+        at the first read of poly; the entry keeps poly alive, so its id is
+        not reused while the table lives."""
+        hit = self._reads.get(id(poly))
+        if hit is not None:
+            return hit[1]
+        positions, weights = self.positions, self.weights
+        d, items = poly._integer_items()
+        grouped = []
+        for w, exps, n in items:
+            key = tuple(exps[i] for i in positions)
+            shift = tuple(0 if i in positions else e for i, e in enumerate(exps))
+            grouped.append((w, key, shift,
+                            w - sum(e * wt for e, wt in zip(key, weights)), n))
+        self._reads[id(poly)] = poly, (d, grouped)
+        return d, grouped
+
     def part(self, poly: Poly, w: int) -> Poly:
         """The weight-w part of poly(subs), a Poly of order w."""
         g = self.grading
         if poly.grading != g:
             raise GradingError("substituted series has a different grading")
-        weight, positions = g.weight, self.positions
+        d, items = self._items(poly)
         live = []
-        for exps, c in poly.terms.items():
-            if weight(exps) > w:
-                continue
-            key = tuple(exps[i] for i in positions)
-            shift = tuple(0 if i in positions else e for i, e in enumerate(exps))
-            p = self._product(key, w - weight(shift))
+        for pw, key, shift, sw, n in items:
+            if pw > w:
+                break
+            p = self._product(key, w - sw)
             if p[1]:
-                live.append((shift, c, p))
-        den = lcm(*(c.denominator * d for _, c, (d, _) in live))
+                live.append((shift, n, p))
+        den = lcm(*(pd for _, _, (pd, _) in live))
         out: dict = {}
-        for shift, c, (d, items) in live:
-            scale = c.numerator * (den // (c.denominator * d))
-            for pe, n in items:
+        for shift, n, (pd, product) in live:
+            scale = n * (den // pd)
+            for pe, pn in product:
                 ne = (pe[0] + shift[0], pe[1] + shift[1], pe[2] + shift[2],
                       pe[3] + shift[3], pe[4] + shift[4])
-                out[ne] = out.get(ne, 0) + scale * n
+                out[ne] = out.get(ne, 0) + scale * pn
+        den *= d
         return Poly._raw({e: Fraction(n, den) for e, n in out.items() if n}, g, w)

@@ -6,11 +6,14 @@ only on (a, b).  A jet is normalized in two stages, in the manner of
 Chern-Moser.  The preliminary reduction `_reduce`, shared by the regular
 and singular cases, absorbs the pure series, reads the finite type k and
 scales the leading coefficient in closed form.  Every later step is a map
-whose weight-preserving part is the identity in the jet's type-k grading,
-and `apply_map` accepts only such maps: one triangular pass over a shared
-`Substitution` solves the defining identity Y(x, F) = F*(A, B, X(x, F)),
-and an independent re-substitution checks it.  Both cases share the
-weight-by-weight normalization loop `_normalize_weights` too.
+whose weight-preserving part is the identity in the jet's type-k grading.
+Both cases share the weight-by-weight normalization `_normalize_weights`:
+one relaxed pass reads each weight of the transformed jet from the defining
+identity Y(x, F) = F*(A, B, X(x, F)) without transforming the jet, grows the
+map step by step, and checks the composed identity once.  `apply_map`
+transforms a jet by one such map: one triangular pass over a shared
+`Substitution` solves the identity, and an independent re-substitution
+checks it.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import factorial, lcm
 
 from . import cmoperator as cm
-from .poly import Poly, Grading, Substitution, UNIT, VAR_INDEX, mono_exps, \
-    singular_grading
+from .poly import Poly, Grading, RelaxedSubstitution, Substitution, UNIT, \
+    VAR_INDEX, mono_exps, singular_grading
 from .series import SolveError, implicit_solve
 
 
@@ -256,13 +259,21 @@ def finite_type(surface: SurfaceJet) -> TypeData | None:
     return TypeData(k=k, m=m, n=k - m)
 
 
+def _scale(F: Poly, var: str, s: Fraction) -> Poly:
+    """F with var -> s var, a diagonal map: each term gains a power of s."""
+    i = VAR_INDEX[var]
+    return Poly._raw({e: c * s ** e[i] for e, c in F.terms.items()},
+                     F.grading, F.order)
+
+
 def _reduce(surface: SurfaceJet) -> tuple:
     """The preliminary reduction of a regular or singular jet, in closed
     form in the unit grading, where its maps keep the filtration.
 
     The type (k, m, n) is read once, after `_absorb`, and the coefficient c
     of b^m x^n is scaled to 1: by b* = c b when m = 1, else by y* = y/c,
-    a* = a/c, since the b-scaling alone cannot reach 1 over the rationals.
+    a* = a/c, since the b-scaling alone cannot reach 1 over the rationals;
+    both maps are diagonal, so `_scale` applies them term by term.
     Exact checks: no pure series, nothing of type-k weight <= k off the
     model, and Y(x, F) = F*(A, B, X(x, F)).  Returns (F*, map, TypeData),
     F* and the map in the type-k grading; MapError if no mixed term is left.
@@ -274,15 +285,15 @@ def _reduce(surface: SurfaceJet) -> tuple:
         raise MapError(f"no mixed term through degree {L}; "
                        "type is undetermined at this truncation")
     k, m, n = t.k, t.m, t.n
-    x, a, b = (Poly.var(v, UNIT, L) for v in "xab")
+    x, b = Poly.var("x", UNIT, L), Poly.var("b", UNIT, L)
     Bc = b
     c = Fs.coeff(mono_exps(b=m, x=n))
     if c != 1:
         inv = Fraction(1) / c
         if m == 1:
-            Fs, Bc = Fs.substitute({"b": b * inv}), b * c
+            Fs, Bc = _scale(Fs, "b", inv), b * c
         else:
-            Fs, Yc, Ac = Fs.substitute({"a": a * c}) * inv, Yc * inv, Ac * inv
+            Fs, Yc, Ac = _scale(Fs, "a", c) * inv, Yc * inv, Ac * inv
     t = TypeData(k, m, n, tuple(Fs.coeff(mono_exps(b=j, x=k - j))
                                 for j in range(m + 1, k)))
     if not (Fs.set_zero("a", "b").is_zero() and Fs.set_zero("a", "x").is_zero()):
@@ -317,35 +328,88 @@ def _compose_steps(steps: list, grading: Grading, order: int) -> PointMap:
 
 def _normalize_weights(surface: SurfaceJet, model: Poly, complement) -> tuple:
     """Weight-by-weight normal form against the graded operator of the model
-    y = a + model, shared by the regular and singular cases.
+    y = a + Q, Q = model, shared by the regular and singular cases, in one
+    relaxed pass (van der Hoeven, JSC 2002) that never transforms the jet.
 
-    At each weight nu above the grading's type k, `cm.decompose` splits the
-    weight-nu part of F - a - model into the operator's image and a part on
-    the monomials `complement(nu)`.  The field that removes the image part
-    is applied as a near-identity map, and the new weight-nu part must equal
-    the predicted normal part.  The steps are composed once, at the end, by
-    `_compose_steps`.  Returns (normalized jet, map, eliminated monomials by
-    weight).
+    The map grows as Phi = s_nu o Phi, one step s_nu = id + v per weight nu
+    above the grading's type k.  A step changes F* only from weight nu on,
+    so the weight-nu part p of F* - a - Q under the map so far is read from
+    Y(x, F) = F*(A, B, X(x, F)):
+
+        p = [Y(x, F)]_nu - [A]_nu - [Q(B, X(x, F))]_nu - [f*(A, B, X(x, F))]_nu
+
+    with f* the normal parts fixed below nu.  y -> F is one table.  f* reads
+    a second, extended only with parts that no later step changes: A
+    through nu - 1, and B and X(x, F) through nu - k.  Q reads their weight
+    nu - k + 1 parts linearly, through Q_b and Q_x, which is T; its Taylor
+    terms of degree >= 2 in (B - b, X - x), one group per plain monomial
+    b^r x^s, read a third table.
+    `cm.decompose` splits p into the operator's image, which v removes, and
+    a normal part on the monomials `complement(nu)`.  One exact check of the
+    composed identity by fresh substitutions closes the pass; SolveError
+    names the first weight where it fails.  Returns (normalized jet, map,
+    eliminated monomials by weight).
     """
-    g, L = surface.grading, surface.order
-    current = surface
-    steps = []
+    g, L, k = surface.grading, surface.order, surface.grading.type_k
+    F = surface.F
+    x, y, a, b = (Poly.var(v, g, L) for v in "xyab")
+    zero = Poly.zero(g, L)
+    phi = PointMap.identity(g, L)
+    on_F = RelaxedSubstitution(("y",), g)
+    for w in range(k, L + 1):
+        on_F.extend("y", F.component(w))
+    image = RelaxedSubstitution(("a", "b", "x"), g)
+    shift = RelaxedSubstitution(("b", "x"), g)
+    for var in "bx":
+        shift.extend(var, zero)  # B - b and X - x vanish at weight 1
+    q_b, q_x = (model.partial(var).with_order(L) for var in "bx")
+    # Q(b + u, x + v) - Q - Q_b u - Q_x v is a sum of b^r x^s P(u, v) over
+    # plain monomials b^r x^s: (their exponents, r + s, P of degree >= 2)
+    taylor: dict = {}
+    for i in range(k + 1):
+        for j in range(k + 1 - i):
+            if i + j > 1:
+                for e, c in model.partial("b", i).partial("x", j).terms.items():
+                    taylor.setdefault(e, {})[mono_exps(b=i, x=j)] = \
+                        c / (factorial(i) * factorial(j))
+    taylor = [(e, g.weight(e), Poly(P, g, L)) for e, P in taylor.items()]
+
+    def read(table, poly, w):
+        # at the jet's order, so that its products reach weight nu
+        return Poly._raw(table.part(poly, w).terms, g, L)
+
+    f_star = zero
     eliminated: dict = {}
-    for nu in range(g.type_k + 1, L + 1):
-        p_nu = current.f_part(model).component(nu)
+    for nu in range(k + 1, L + 1):
+        low = nu - k
+        image.extend("a", phi.Ac.component(nu - 1))
+        for var, part in (("b", phi.Bc.component(low)),
+                          ("x", read(on_F, phi.Xc, low))):
+            image.extend(var, part)
+            if low > 1:
+                shift.extend(var, part)
+        p_nu = (read(on_F, phi.Yc, nu) - phi.Ac.component(nu)
+                - read(image, f_star, nu) - q_b * phi.Bc.component(low + 1)
+                - q_x * read(on_F, phi.Xc, low + 1))
+        for e, we, P in taylor:
+            # b^r x^s times a part of P(B - b, X - x) shifts its exponents
+            shifted = {tuple(i + j for i, j in zip(pe, e)): c
+                       for pe, c in shift.part(P, nu - we).terms.items()}
+            p_nu = p_nu - Poly._raw(shifted, g, L)
         if p_nu.is_zero():
             continue
         v, normal = cm.decompose(p_nu, complement(nu), g, model)
-        if v.is_zero():
-            continue
-        step = PointMap(Poly.var("x", g, L) + v.xi.with_order(L),
-                        Poly.var("y", g, L) + v.eta.with_order(L),
-                        Poly.var("a", g, L) + v.alpha.with_order(L),
-                        Poly.var("b", g, L) + v.beta.with_order(L))
-        current = apply_map(current, step)
-        steps.append(step)
-        eliminated[nu] = sorted((p_nu - normal).terms)
-        if current.f_part(model).component(nu) != normal:
-            raise RuntimeError(f"normalization at weight {nu} disagrees with "
-                               "the linear prediction")
-    return current, _compose_steps(steps, g, L), eliminated
+        if not v.is_zero():
+            step = PointMap(x + v.xi.with_order(L), y + v.eta.with_order(L),
+                            a + v.alpha.with_order(L), b + v.beta.with_order(L))
+            phi = step.compose(phi)
+            eliminated[nu] = sorted((p_nu - normal).terms)
+        f_star = f_star + normal
+    F_star = F.up_to_weight(k) + f_star
+    on = Substitution({"y": F}, g, L)
+    residual = on(phi.Yc) - Substitution(
+        {"a": phi.Ac, "b": phi.Bc, "x": on(phi.Xc)}, g, L)(F_star)
+    if not residual.is_zero():
+        raise SolveError("normalization: the composed identity fails at weight "
+                         f"{residual.min_weight()}")
+    return SurfaceJet(F_star), phi, eliminated

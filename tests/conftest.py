@@ -4,10 +4,11 @@ caller, so failures reproduce exactly."""
 import random
 from fractions import Fraction
 
+from paracr import cmoperator as cm
 from paracr.cmoperator import weighted_monomials
 from paracr.poly import Poly, REGULAR, UNIT, singular_grading
 from paracr.series import SolveError
-from paracr.surfaces import SurfaceJet
+from paracr.surfaces import PointMap, SurfaceJet, _compose_steps, apply_map
 
 
 def sweep_solve(rhs, seed, order: int):
@@ -74,3 +75,32 @@ def random_ode_jet(rng: random.Random, order: int = 6,
                 c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                 B = B + Poly({exps: c}, UNIT, order)
     return OdeJet(B)
+
+
+def stepwise_normalize(surface: SurfaceJet, model: Poly, complement):
+    """Oracle for `surfaces._normalize_weights`: the jet transformed by
+    `apply_map` after every step, the new weight-nu part checked against the
+    linear prediction, and the steps composed at the end by
+    `_compose_steps`."""
+    g, L = surface.grading, surface.order
+    current = surface
+    steps = []
+    eliminated: dict = {}
+    for nu in range(g.type_k + 1, L + 1):
+        p_nu = current.f_part(model).component(nu)
+        if p_nu.is_zero():
+            continue
+        v, normal = cm.decompose(p_nu, complement(nu), g, model)
+        if v.is_zero():
+            continue
+        step = PointMap(Poly.var("x", g, L) + v.xi.with_order(L),
+                        Poly.var("y", g, L) + v.eta.with_order(L),
+                        Poly.var("a", g, L) + v.alpha.with_order(L),
+                        Poly.var("b", g, L) + v.beta.with_order(L))
+        current = apply_map(current, step)
+        steps.append(step)
+        eliminated[nu] = sorted((p_nu - normal).terms)
+        if current.f_part(model).component(nu) != normal:
+            raise RuntimeError(f"normalization at weight {nu} disagrees with "
+                               "the linear prediction")
+    return current, _compose_steps(steps, g, L), eliminated

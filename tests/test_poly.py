@@ -43,6 +43,20 @@ def test_add_cancellation():
     assert half + half == Poly.monomial(1, REGULAR, 8, b=2, x=2)
 
 
+def test_add_copies_the_larger_operand():
+    # small + big and big + small agree, terms that cancel are dropped, and
+    # the sum keeps the smaller order whichever operand is larger
+    small = P({mono_exps(a=1): 1, mono_exps(b=3): Fraction(1, 2)}, order=4)
+    big = P({mono_exps(a=1): -1, mono_exps(b=2): 3, mono_exps(b=5): 1,
+             mono_exps(x=6): 2}, order=8)
+    for total in (small + big, big + small):
+        assert total.order == 4
+        assert total.terms == {mono_exps(b=2): 3, mono_exps(b=3): Fraction(1, 2)}
+    assert (small - big).terms == {mono_exps(a=1): 2, mono_exps(b=2): -3,
+                                   mono_exps(b=3): Fraction(1, 2)}
+    assert (big - small).order == 4 and big.terms[mono_exps(b=5)] == 1
+
+
 def test_mul_truncates():
     b = Poly.var("b", REGULAR, 4)
     assert (b ** 4).coeff_mono(b=4) == 1
@@ -237,6 +251,48 @@ def test_relaxed_substitution_matches_fresh(case, data):
         assert got.terms == want.component(w).terms and got.order == w
     for v, s in subs.items():
         assert table.series(v) == s.with_order(fresh.order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(substitutions(), st.data())
+def test_relaxed_part_of_polys_read_repeatedly(case, data):
+    # each poly is grouped by weight at its first read; later reads of it,
+    # interleaved with reads of others and of an equal copy, still give the
+    # parts of the fresh substitution at every weight
+    subs, g, L = case
+    fresh = Substitution(subs, g, L)
+    table = RelaxedSubstitution(subs, g)
+    ps = [data.draw(polys(g, fresh.order, 0, fresh.order + 1, 6))
+          for _ in range(3)]
+    ps.append(Poly(ps[0].terms, g, ps[0].order))
+    want = [fresh(p) for p in ps]
+    for w in range(fresh.order + 1):
+        for v, s in subs.items():
+            if w >= g.weight_of(v):
+                table.extend(v, s.component(w))
+        for _ in range(2):
+            for p, full in zip(ps, want):
+                got = table.part(p, w)
+                assert got.terms == full.component(w).terms and got.order == w
+
+
+def test_relaxed_substitution_reads_above_valuations():
+    # series that vanish at weight 1: [u v]_w and [u^2 v]_(w+2) read only
+    # parts of weight <= w - 2, so they are known before the weight-w parts
+    g, L = UNIT, 8
+    b, x = Poly.var("b", g, L), Poly.var("x", g, L)
+    u, v = b * b + x * x * x, b * x - b * b * x
+    table = RelaxedSubstitution(["b", "x"], g)
+    fresh = Substitution({"b": u, "x": v}, g, L)
+    for w in range(1, L - 1):
+        if w >= 3:
+            assert table.part(b * x, w) == fresh(b * x).component(w).with_order(w)
+            assert table.part(b * b * x, w + 2) == \
+                fresh(b * b * x).component(w + 2).with_order(w + 2)
+        with pytest.raises(SubstitutionError, match="not set"):
+            table.part(b, w)
+        table.extend("b", u.component(w))
+        table.extend("x", v.component(w))
 
 
 def test_relaxed_substitution_reads_only_parts_set():

@@ -4,16 +4,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paracr import surfaces
+from paracr import cmoperator as cm, surfaces
 from paracr.cmoperator import weighted_monomials
 from paracr.poly import (Poly, REGULAR, UNIT, RelaxedSubstitution,
                          Substitution, SubstitutionError, mono_exps,
                          singular_grading)
 from paracr.series import SolveError
-from paracr.singnorm import prelim_reduce_singular
-from paracr.surfaces import (MapError, PointMap, SurfaceJet, apply_map,
-                             invert_pair, preliminary_reduce)
-from conftest import random_regular_jet, random_singular_jet, sweep_solve
+from paracr.regnorm import normalize_jet
+from paracr.singnorm import (allowed_monomials, normalize_singular_jet,
+                             prelim_reduce_singular)
+from paracr.surfaces import (MapError, PointMap, SurfaceJet, TypeData,
+                             apply_map, invert_pair, preliminary_reduce)
+from conftest import (random_regular_jet, random_singular_jet,
+                      stepwise_normalize, sweep_solve)
 
 
 def var(name, g=REGULAR, order=8):
@@ -356,3 +359,74 @@ def test_prelim_reduce_singular_raw_jet(data):
     assert red.f_part(t.model(g, L)).up_to_weight(k).is_zero()
     assert satisfies_identity(F.with_order(D), pm.with_grading(UNIT, D),
                               red.F.with_grading(UNIT, D))
+
+
+@st.composite
+def normalizable_jets(draw):
+    """(jet, model, complement) for `_normalize_weights`:
+    a regular jet in preliminary form at order 4..10, or a reduced singular
+    jet with k = 3..5, any m and random gammas at order k + 1..k + 6."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(2, 5))
+    if k == 2:
+        S = random_regular_jet(rng, order=draw(st.integers(4, 10)))
+        return S, cm.model_poly(REGULAR, S.order), cm.normal_complement_monomials
+    m = draw(st.integers(1, k - 1))
+    S = random_singular_jet(rng, k, m, order=draw(st.integers(k + 1, k + 6)))
+    g, L = S.grading, S.order
+    terms = dict(S.F.terms)
+    for j in range(m + 1, k):
+        terms[mono_exps(b=j, x=k - j)] = draw(coefs)
+    S = SurfaceJet(Poly(terms, g, L))
+    t = TypeData(k, m, k - m, tuple(S.F.coeff_mono(b=j, x=k - j)
+                                    for j in range(m + 1, k)))
+    return S, t.model(g, L), lambda nu: allowed_monomials(nu, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(normalizable_jets())
+def test_one_pass_normalization_matches_stepwise(case):
+    # the one relaxed pass against apply_map per step, composed at the end
+    S, model, complement = case
+    normalized, transform, eliminated = surfaces._normalize_weights(
+        S, model, complement)
+    want = stepwise_normalize(S, model, complement)
+    assert normalized.F == want[0].F and normalized.order == want[0].order
+    for name, c in transform.components().items():
+        assert c == want[1].components()[name], name
+    assert eliminated == want[2]
+
+
+def test_normalization_applies_no_step_map(monkeypatch):
+    # the pass neither transforms the jet per step nor composes the steps
+    def refuse(*args):
+        raise AssertionError("called by the one-pass normalization")
+
+    monkeypatch.setattr(surfaces, "apply_map", refuse)
+    monkeypatch.setattr(surfaces, "_compose_steps", refuse)
+    rng = random.Random(11)
+    assert normalize_jet(random_regular_jet(rng)).conditions_ok
+    S = random_singular_jet(rng, 4, 2)
+    t = TypeData(4, 2, 2, (S.F.coeff_mono(b=3, x=1),))
+    assert normalize_singular_jet(S, t).ok
+
+
+@pytest.mark.parametrize("positions", [(3,), (0, 1, 2), (1, 2)],
+                         ids=["y->F", "f*", "Q-taylor"])
+def test_normalization_identity_check_is_live(monkeypatch, positions):
+    # a wrong weight-5 read from any of the pass's three tables must be
+    # caught by the closing check of the composed identity, at weight 5
+    S = random_regular_jet(random.Random(7), order=8)
+    exact = RelaxedSubstitution.part
+
+    def corrupted(self, poly, w):
+        out = exact(self, poly, w)
+        if self.positions == positions and w == 5:
+            out = out + Poly.monomial(1, REGULAR, 5, b=2, x=3)
+        return out
+
+    assert normalize_jet(S).conditions_ok
+    monkeypatch.setattr(RelaxedSubstitution, "part", corrupted)
+    with pytest.raises(SolveError,
+                       match="composed identity fails at weight 5"):
+        normalize_jet(S)
