@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import autodetect, cmoperator, odebridge, regnorm, singnorm
-from .poly import Poly, REGULAR, UNIT, VARS, SubstitutionError, \
+from .poly import MAX_ORDER, Poly, REGULAR, UNIT, VARS, SubstitutionError, \
     format_monomial, mono_exps, singular_grading
 from .series import SolveError
 from .surfaces import MapError, PointMap, SurfaceJet, TypeData, \
@@ -101,10 +101,11 @@ class _Scanner:
 
 
 def parse_poly(text: str, allowed_vars: set, grading, order: int) -> Poly:
-    """Parse the grammar above into an exact polynomial.  Terms beyond the
-    truncation order are rejected rather than silently dropped."""
+    """Parse the grammar above into an exact polynomial, built once from its
+    terms; repeated monomials add up.  Terms beyond the truncation order are
+    rejected rather than silently dropped."""
     s = _Scanner(text)
-    result = Poly.zero(grading, order)
+    terms: dict = {}
     sign = 1
     c = s.peek()
     if c in "+-":
@@ -112,17 +113,19 @@ def parse_poly(text: str, allowed_vars: set, grading, order: int) -> Poly:
     if not s.peek():
         s.error("empty polynomial")
     while True:
-        result = result + _parse_term(s, allowed_vars, grading, order) * sign
+        exps, coef = _parse_term(s, allowed_vars, grading, order)
+        terms[exps] = terms.get(exps, 0) + coef * sign
         c = s.peek()
         if not c:
             break
         if c not in "+-":
             s.error(f"expected '+' or '-', found {c!r}")
         sign = -1 if s.take() == "-" else 1
-    return result
+    return Poly(terms, grading, order)
 
 
-def _parse_term(s: _Scanner, allowed_vars: set, grading, order: int) -> Poly:
+def _parse_term(s: _Scanner, allowed_vars: set, grading, order: int) -> tuple:
+    """(exponent tuple, coefficient) of the next term."""
     coef = Fraction(1)
     have_any = False
     if s.peek().isdigit():
@@ -153,10 +156,10 @@ def _parse_term(s: _Scanner, allowed_vars: set, grading, order: int) -> Poly:
         have_any = True
     if not have_any:
         s.error("expected a term")
-    mono = Poly.monomial(coef, grading, order, **exps)
-    if coef != 0 and mono.is_zero():
+    mono = mono_exps(**exps)
+    if coef != 0 and grading.weight(mono) > order:
         s.error(f"term exceeds the truncation order {order}")
-    return mono
+    return mono, coef
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +216,9 @@ def _read_expr(args) -> str:
 
 def _max_order() -> int:
     raw = os.environ.get("PARACR_MAX_ORDER", str(DEFAULT_MAX_ORDER))
-    if not raw.strip().isdecimal() or int(raw) < 2:
-        raise ConfigError(f"PARACR_MAX_ORDER must be an integer >= 2, not {raw!r}")
+    if not raw.strip().isdecimal() or not 2 <= int(raw) <= MAX_ORDER:
+        raise ConfigError(f"PARACR_MAX_ORDER must be an integer from 2 to "
+                          f"{MAX_ORDER}, not {raw!r}")
     return int(raw)
 
 

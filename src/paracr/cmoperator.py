@@ -71,12 +71,21 @@ def apply_t(v: VField, model: Poly | None = None) -> Poly:
     order = max(v.eta.order, v.alpha.order, v.beta.order, v.xi.order)
     if model is None:
         model = Poly.monomial(1, g, order, b=1, x=1)
-    surface = Poly.var("a", g, order) + model.with_order(order)
-    q_b = model.partial("b").with_order(order)
-    q_x = model.partial("x").with_order(order)
-    eta = v.eta.with_order(order).substitute({"y": surface})
-    xi = v.xi.with_order(order).substitute({"y": surface})
-    return eta - v.alpha.with_order(order) - q_b * v.beta.with_order(order) - q_x * xi
+    on_model, q_b, q_x = _model_substitution(g, order, model)
+    xi = on_model(v.xi.with_order(order))
+    return (on_model(v.eta.with_order(order)) - v.alpha.with_order(order)
+            - q_b * v.beta.with_order(order) - q_x * xi)
+
+
+@lru_cache(maxsize=32)
+def _model_substitution(grading: Grading, order: int, model: Poly) -> tuple:
+    """(y -> a + Q, Q_b, Q_x) at `order` for `apply_t`, one per model and
+    order, kept apart from `operator_matrix`'s substitution so that the
+    round trip in `decompose` does not share the assembly's code."""
+    surface = Poly.var("a", grading, order) + model.with_order(order)
+    return (Substitution({"y": surface}, grading, order),
+            model.partial("b").with_order(order),
+            model.partial("x").with_order(order))
 
 
 def weighted_monomials(weight: int, variables: tuple, grading: Grading) -> list:
@@ -162,7 +171,7 @@ def operator_matrix(ell: int, grading: Grading = REGULAR,
     zero = Fraction(0)
     matrix = [[zero] * len(domain) for _ in codomain]
     for col, (comp, exps) in enumerate(domain):
-        column = image[comp](Poly._raw({exps: Fraction(1)}, g, order))
+        column = image[comp](Poly({exps: 1}, g, order))
         for e, c in column.terms.items():
             matrix[row_index[e]][col] = c
     return matrix, domain, codomain

@@ -1,13 +1,25 @@
 """Sparse polynomials over Q with a weighted grading and a truncation order.
 
 Every value in the package is built from these polynomials.  The variable
-universe is fixed to (a, b, x, y, p); a polynomial stores only the exponent
-tuples it actually uses.  Every coefficient is a `fractions.Fraction`, so
-every operation in the package is exact.
+universe is fixed to (a, b, x, y, p); a polynomial stores only the monomials
+it actually uses, and every operation is exact.
 
-Products and substitutions put each operand over one common denominator and
-accumulate integer numerators; each output coefficient is formed once, as a
-rational, from its numerator sum over the common denominator of the result.
+Stored form, private to this module: integer numerators over one common
+denominator, `(d, {key: n})`, in the manner of FLINT's fmpq_poly, kept
+canonical: d > 0, gcd(d, every n) = 1 and no n is zero, so equal
+polynomials store equal forms.  A key packs a monomial into one int
+(Monagan and Pearce, CASC 2007): its weight in the top field, then the
+exponents of a, b, x, y, p in fields of `_FIELD` bits.  A monomial product
+is one integer addition, a truncation at order L is the comparison
+key < (L + 1) << `_WSHIFT`, and sorting keys sorts by weight.
+
+Why no field overflows: an order is at most MAX_ORDER, half a field's range,
+and a stored exponent is at most its monomial's weight, hence at most the
+order.  A sum of two stored keys thus has every exponent below the field's
+range, and a sum over the order is dropped by its weight field before it is
+added to anything else.  A Poly of order above MAX_ORDER raises ValueError.
+
+`terms` is a read-only `{exponent tuple: Fraction}` view, built on first use.
 A `Substitution` checks its series once and caches the integer products of
 their powers across calls, for callers that substitute into many polys.
 Every substitution keeps the weight filtration: a series of weighted order
@@ -19,9 +31,11 @@ silently discards anything heavier.  Arithmetic is closed under this rule.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm, perm
+from types import MappingProxyType
 from typing import Mapping
 
 RAT = Fraction  # perfbench/run.py reports the coefficient type by this name
@@ -31,6 +45,13 @@ VARS = ("a", "b", "x", "y", "p")
 VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 
 ZERO_EXPS = (0, 0, 0, 0, 0)
+
+_FIELD = 8
+_FMASK = (1 << _FIELD) - 1
+_SHIFTS = tuple(_FIELD * (len(VARS) - 1 - i) for i in range(len(VARS)))
+_WSHIFT = _FIELD * len(VARS)
+_LOW = (1 << _WSHIFT) - 1
+MAX_ORDER = (1 << (_FIELD - 1)) - 1
 
 
 class GradingError(ValueError):
@@ -49,7 +70,7 @@ class Grading:
     truncation is by total degree.
     """
 
-    __slots__ = ("weights", "type_k", "_wcache")
+    __slots__ = ("weights", "type_k", "_wcache", "_keys")
 
     def __init__(self, weights: Mapping[str, int], type_k: int | None = None):
         self.weights = tuple(int(weights.get(v, 1)) for v in VARS)
@@ -57,6 +78,7 @@ class Grading:
             raise ValueError("variable weights must be positive")
         self.type_k = type_k
         self._wcache: dict = {}
+        self._keys: dict = {}
 
     def weight_of(self, var: str) -> int:
         return self.weights[VAR_INDEX[var]]
@@ -67,6 +89,18 @@ class Grading:
             w = sum(e * wt for e, wt in zip(exps, self.weights))
             self._wcache[exps] = w
         return w
+
+    def _key(self, exps: tuple) -> int:
+        """The packed key of an exponent tuple in this grading."""
+        k = self._keys.get(exps)
+        if k is None:
+            if len(exps) != len(VARS) or not all(0 <= e <= MAX_ORDER for e in exps):
+                raise ValueError(f"exponents {exps!r} are not {len(VARS)} "
+                                 f"integers from 0 to MAX_ORDER = {MAX_ORDER}")
+            k = sum(e << s for e, s in zip(exps, _SHIFTS)) + \
+                (self.weight(exps) << _WSHIFT)
+            self._keys[exps] = k
+        return k
 
     def __eq__(self, other):
         return isinstance(other, Grading) and self.weights == other.weights
@@ -99,24 +133,58 @@ def _as_fraction(c):
     raise TypeError(f"not an exact coefficient: {c!r}")
 
 
-def _integer_product(ints1: tuple, ints2: tuple, order: int) -> tuple:
-    """Product of two integer forms (d, [(weight, exps, n)]) sorted by
-    weight, truncated at `order`: (d1 * d2, {exps: nonzero numerator})."""
-    (d1, items1), (d2, items2) = ints1, ints2
+def _exps(key: int) -> tuple:
+    """The exponent tuple of a packed key."""
+    return tuple((key >> s) & _FMASK for s in _SHIFTS)
+
+
+def _mask(variables) -> int:
+    """The fields of the named variables."""
+    return sum(_FMASK << _SHIFTS[VAR_INDEX[v]] for v in variables)
+
+
+def _mul_items(items1: list, items2: list, limit: int) -> dict:
+    """{key: numerator sum} of the product of two lists of (key, n) sorted
+    by key, keeping keys below `limit`; a sum may be zero."""
     acc: dict = {}
     if not items1 or not items2:
-        return d1 * d2, acc
-    w2_min = items2[0][0]
-    for w1, e1, n1 in items1:
-        if w1 + w2_min > order:
+        return acc
+    get = acc.get
+    low2 = items2[0][0]
+    for k1, n1 in items1:
+        if k1 + low2 >= limit:
             break
-        for w2, e2, n2 in items2:
-            if w1 + w2 > order:
+        for k2, n2 in items2:
+            k = k1 + k2
+            if k >= limit:
                 break
-            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2],
-                 e1[3] + e2[3], e1[4] + e2[4])
-            acc[e] = acc.get(e, 0) + n1 * n2
-    return d1 * d2, {e: n for e, n in acc.items() if n}
+            acc[k] = get(k, 0) + n1 * n2
+    return acc
+
+
+def _check_order(order: int):
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} exceeds MAX_ORDER = {MAX_ORDER}, the "
+                         "largest order whose exponents fit a packed monomial")
+
+
+def _new(grading: Grading, order: int, den: int, nums: dict) -> "Poly":
+    """A Poly from a canonical stored form."""
+    _check_order(order)
+    obj = object.__new__(Poly)
+    obj.grading, obj.order, obj._den, obj._nums, obj._view = \
+        grading, order, den, nums, None
+    return obj
+
+
+def _make(grading: Grading, order: int, den: int, nums: dict) -> "Poly":
+    """A Poly from numerators over den > 0, none zero, put in lowest terms."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {k: n // g for k, n in nums.items()}
+    return _new(grading, order, den, nums)
 
 
 def mono_exps(**kw) -> tuple:
@@ -144,35 +212,28 @@ def format_monomial(exps: tuple) -> str:
 class Poly:
     """Immutable sparse polynomial with grading and truncation order."""
 
-    __slots__ = ("terms", "grading", "order")
+    __slots__ = ("grading", "order", "_den", "_nums", "_view")
 
     def __init__(self, terms: Mapping[tuple, Fraction], grading: Grading, order: int):
-        clean = {}
+        _check_order(order)
+        weight, key = grading.weight, grading._key
+        coefs = {}
         for exps, c in terms.items():
             c = _as_fraction(c)
-            if c == 0:
-                continue
-            if grading.weight(exps) > order:
-                continue
-            clean[exps] = c
-        self.terms = clean
-        self.grading = grading
-        self.order = order
+            if c and weight(exps) <= order:
+                coefs[key(exps)] = c
+        # reduced fractions over the lcm of their denominators are in lowest
+        # terms
+        den = lcm(*(c.denominator for c in coefs.values()))
+        nums = {k: c.numerator * (den // c.denominator) for k, c in coefs.items()}
+        self.grading, self.order, self._den, self._nums, self._view = \
+            grading, order, den, nums, None
 
     # ---- constructors -------------------------------------------------
 
     @classmethod
-    def _raw(cls, terms: dict, grading: Grading, order: int) -> "Poly":
-        """Internal fast path: terms already coerced and within the order."""
-        obj = object.__new__(cls)
-        obj.terms = {e: c for e, c in terms.items() if c}
-        obj.grading = grading
-        obj.order = order
-        return obj
-
-    @classmethod
     def zero(cls, grading: Grading, order: int) -> "Poly":
-        return cls({}, grading, order)
+        return _new(grading, order, 1, {})
 
     @classmethod
     def const(cls, c, grading: Grading, order: int) -> "Poly":
@@ -180,7 +241,7 @@ class Poly:
 
     @classmethod
     def var(cls, name: str, grading: Grading, order: int) -> "Poly":
-        return cls({mono_exps(**{name: 1}): Fraction(1)}, grading, order)
+        return cls({mono_exps(**{name: 1}): 1}, grading, order)
 
     @classmethod
     def monomial(cls, c, grading: Grading, order: int, **exps) -> "Poly":
@@ -188,101 +249,127 @@ class Poly:
 
     # ---- basic queries ------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[tuple, Fraction]:
+        """Read-only {exponent tuple: Fraction} view, built on first use."""
+        view = self._view
+        if view is None:
+            den = self._den
+            view = self._view = MappingProxyType(
+                {_exps(k): Fraction(n, den) for k, n in self._nums.items()})
+        return view
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def coeff(self, exps: tuple) -> Fraction:
-        return self.terms.get(exps, Fraction(0))
+        if self.grading.weight(exps) > self.order:
+            return Fraction(0)
+        return Fraction(self._nums.get(self.grading._key(exps), 0), self._den)
 
     def coeff_mono(self, **exps) -> Fraction:
         return self.coeff(mono_exps(**exps))
 
     def constant_term(self) -> Fraction:
-        return self.coeff(ZERO_EXPS)
+        return Fraction(self._nums.get(0, 0), self._den)
 
     def variables(self) -> set:
-        used = set()
-        for exps in self.terms:
-            for v, e in zip(VARS, exps):
-                if e:
-                    used.add(v)
-        return used
+        used = 0
+        for k in self._nums:
+            used |= k
+        return {v for v, s in zip(VARS, _SHIFTS) if (used >> s) & _FMASK}
 
     def min_weight(self) -> int | None:
         """Weighted order of the polynomial; None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return min(self.grading.weight(e) for e in self.terms)
+        return min(self._nums) >> _WSHIFT if self._nums else None
 
     # ---- structural adjustments --------------------------------------
 
     def with_order(self, order: int) -> "Poly":
         """Re-truncate.  Raising the order is only sound when the polynomial
         is known exactly (a jet given as data, or an exact derivative)."""
-        return Poly(self.terms, self.grading, order)
+        if order >= self.order:
+            return _new(self.grading, order, self._den, self._nums)
+        limit = (order + 1) << _WSHIFT
+        return _make(self.grading, order, self._den,
+                     {k: n for k, n in self._nums.items() if k < limit})
 
     def with_grading(self, grading: Grading, order: int | None = None) -> "Poly":
-        return Poly(self.terms, grading, self.order if order is None else order)
-
-    def _integer_items(self) -> tuple:
-        """(d, [(weight, exps, n)]) with every coefficient equal to n / d for
-        one common denominator d, sorted by increasing weight."""
-        d = 1
-        for c in self.terms.values():
-            d = lcm(d, c.denominator)
-        weight = self.grading.weight
-        return d, sorted((weight(e), e, c.numerator * (d // c.denominator))
-                         for e, c in self.terms.items())
+        order = self.order if order is None else order
+        if grading == self.grading:
+            return self.with_order(order)
+        weight, key = grading.weight, grading._key
+        nums = {}
+        for k, n in self._nums.items():
+            exps = _exps(k)
+            if weight(exps) <= order:
+                nums[key(exps)] = n
+        return _make(grading, order, self._den, nums)
 
     # ---- ring operations ----------------------------------------------
 
-    def _check(self, other: "Poly"):
-        if self.grading != other.grading:
+    def _operand(self, other) -> "Poly":
+        if isinstance(other, _SCALARS):
+            return Poly.const(other, self.grading, self.order)
+        if self.grading is not other.grading and self.grading != other.grading:
             raise GradingError(f"grading mismatch: {self.grading} vs {other.grading}")
+        return other
+
+    def _add(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other, at the smaller order."""
+        order = min(self.order, other.order)
+        d1, d2 = self._den, other._den
+        den = d1 if d1 == d2 else lcm(d1, d2)
+        s1, s2 = den // d1, sign * (den // d2)
+        big, small = (self._nums, s1), (other._nums, s2)
+        # add into a copy of the larger operand: one step per smaller term
+        if len(big[0]) < len(small[0]):
+            big, small = small, big
+        nums, s = big
+        out = dict(nums) if s == 1 else {k: n * s for k, n in nums.items()}
+        get = out.get
+        nums, s = small
+        for k, n in nums.items():
+            v = get(k, 0) + n * s
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+        if order < self.order or order < other.order:
+            limit = (order + 1) << _WSHIFT
+            out = {k: n for k, n in out.items() if k < limit}
+        return _make(self.grading, order, den, out)
 
     def __add__(self, other):
-        if isinstance(other, _SCALARS):
-            other = Poly.const(other, self.grading, self.order)
-        self._check(other)
-        order = min(self.order, other.order)
-        # add into a copy of the larger operand: one step per smaller term
-        big, small = self.terms, other.terms
-        if len(big) < len(small):
-            big, small = small, big
-        terms = dict(big)
-        for exps, c in small.items():
-            old = terms.get(exps)
-            terms[exps] = c if old is None else old + c
-        if order < self.order or order < other.order:
-            weight = self.grading.weight
-            terms = {e: c for e, c in terms.items() if weight(e) <= order}
-        return Poly._raw(terms, self.grading, order)
+        return self._add(self._operand(other), 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Poly._raw({e: -c for e, c in self.terms.items()},
-                         self.grading, self.order)
-
     def __sub__(self, other):
-        if isinstance(other, _SCALARS):
-            other = Poly.const(other, self.grading, self.order)
-        return self + (-other)
+        return self._add(self._operand(other), -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._operand(other)._add(self, -1)
+
+    def __neg__(self):
+        return _new(self.grading, self.order, self._den,
+                    {k: -n for k, n in self._nums.items()})
 
     def __mul__(self, other):
+        g = self.grading
         if isinstance(other, _SCALARS):
             c = _as_fraction(other)
-            return Poly._raw({e: c * v for e, v in self.terms.items()},
-                             self.grading, self.order)
-        self._check(other)
+            if not c:
+                return _new(g, self.order, 1, {})
+            m = c.numerator
+            return _make(g, self.order, self._den * c.denominator,
+                         {k: n * m for k, n in self._nums.items()})
+        other = self._operand(other)
         order = min(self.order, other.order)
-        g = self.grading
-        d, acc = _integer_product(self._integer_items(), other._integer_items(),
-                                  order)
-        return Poly._raw({e: Fraction(n, d) for e, n in acc.items()}, g, order)
+        acc = _mul_items(sorted(self._nums.items()), sorted(other._nums.items()),
+                         (order + 1) << _WSHIFT)
+        return _make(g, order, self._den * other._den,
+                     {k: n for k, n in acc.items() if n})
 
     __rmul__ = __mul__
 
@@ -301,12 +388,14 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             if isinstance(other, _SCALARS):
-                return self.terms == Poly.const(other, self.grading, self.order).terms
-            return NotImplemented
-        return self.grading == other.grading and self.terms == other.terms
+                other = Poly.const(other, self.grading, self.order)
+            else:
+                return NotImplemented
+        return (self.grading == other.grading and self._den == other._den
+                and self._nums == other._nums)
 
     def __hash__(self):
-        return hash((self.grading, frozenset(self.terms.items())))
+        return hash((self.grading, self._den, frozenset(self._nums.items())))
 
     # ---- calculus -----------------------------------------------------
 
@@ -315,68 +404,61 @@ class Poly:
         n * weight(var): weight-L input terms only pin the derivative down to
         weight L - n*w."""
         i = VAR_INDEX[var]
-        w = self.grading.weights[i]
-        terms = self.terms
-        for _ in range(n):
-            new = {}
-            for exps, c in terms.items():
-                e = exps[i]
-                if e == 0:
-                    continue
-                ne = exps[:i] + (e - 1,) + exps[i + 1:]
-                new[ne] = new.get(ne, 0) + c * e
-            terms = new
-        return Poly._raw(dict(terms), self.grading, self.order - n * w)
+        s, w = _SHIFTS[i], self.grading.weights[i]
+        step = (n << s) + (n * w << _WSHIFT)
+        nums = {}
+        for k, c in self._nums.items():
+            e = (k >> s) & _FMASK
+            if e >= n:
+                nums[k - step] = c * perm(e, n)
+        return _make(self.grading, self.order - n * w, self._den, nums)
 
     def integrate(self, var: str) -> "Poly":
         i = VAR_INDEX[var]
-        w = self.grading.weights[i]
-        new = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            ne = exps[:i] + (e + 1,) + exps[i + 1:]
-            new[ne] = c / (e + 1)
-        return Poly(new, self.grading, self.order + w)
+        s, w = _SHIFTS[i], self.grading.weights[i]
+        step = (1 << s) + (w << _WSHIFT)
+        items = [(k, c, ((k >> s) & _FMASK) + 1) for k, c in self._nums.items()]
+        m = lcm(*(e for _, _, e in items))
+        return _make(self.grading, self.order + w, self._den * m,
+                     {k + step: c * (m // e) for k, c, e in items})
 
     # ---- grading structure --------------------------------------------
 
     def weighted_components(self) -> list:
         """Decomposition into homogeneous parts, increasing weight."""
         buckets: dict = {}
-        for exps, c in self.terms.items():
-            buckets.setdefault(self.grading.weight(exps), {})[exps] = c
-        return [(w, Poly(buckets[w], self.grading, self.order)) for w in sorted(buckets)]
+        for k, n in self._nums.items():
+            buckets.setdefault(k >> _WSHIFT, {})[k] = n
+        return [(w, _make(self.grading, self.order, self._den, buckets[w]))
+                for w in sorted(buckets)]
 
     def component(self, weight: int) -> "Poly":
-        g = self.grading
-        return Poly({e: c for e, c in self.terms.items() if g.weight(e) == weight},
-                    g, self.order)
+        lo, hi = weight << _WSHIFT, (weight + 1) << _WSHIFT
+        return _make(self.grading, self.order, self._den,
+                     {k: n for k, n in self._nums.items() if lo <= k < hi})
 
     def up_to_weight(self, weight: int) -> "Poly":
-        g = self.grading
-        return Poly({e: c for e, c in self.terms.items() if g.weight(e) <= weight},
-                    g, self.order)
+        limit = (weight + 1) << _WSHIFT
+        return _make(self.grading, self.order, self._den,
+                     {k: n for k, n in self._nums.items() if k < limit})
 
     def coeff_series(self, **fixed) -> "Poly":
         """Coefficient of a monomial in some of the variables, as a polynomial
         in the remaining ones.  coeff_series(b=2, x=2) on f returns the series
         g(a, ...) with f = ... + g * b^2 x^2 + (other b,x powers)."""
-        idx = {VAR_INDEX[v]: e for v, e in fixed.items()}
-        new = {}
-        for exps, c in self.terms.items():
-            if all(exps[i] == e for i, e in idx.items()):
-                ne = tuple(0 if i in idx else e for i, e in enumerate(exps))
-                new[ne] = c
-        return Poly(new, self.grading, self.order)
+        exps = mono_exps(**fixed)
+        mask = _mask(fixed)
+        fields = sum(e << s for e, s in zip(exps, _SHIFTS))
+        step = fields + (self.grading.weight(exps) << _WSHIFT)
+        return _make(self.grading, self.order, self._den,
+                     {k - step: n for k, n in self._nums.items()
+                      if k & mask == fields})
 
     def set_zero(self, *vars_: str) -> "Poly":
         """Substitute 0 for the named variables."""
-        idx = [VAR_INDEX[v] for v in vars_]
-        new = {}
-        for exps, c in self.terms.items():
-            if all(exps[i] == 0 for i in idx):
-                new[exps] = new.get(exps, Fraction(0)) + c
-        return Poly(new, self.grading, self.order)
+        mask = _mask(vars_)
+        return _make(self.grading, self.order, self._den,
+                     {k: n for k, n in self._nums.items() if not k & mask})
 
     # ---- substitution -------------------------------------------------
 
@@ -389,13 +471,12 @@ class Poly:
     def sorted_terms(self) -> list:
         """Canonical term order: increasing weight; within a weight, higher
         powers of earlier variables (a before b before x) come first."""
-        g = self.grading
-        return sorted(self.terms.items(),
-                      key=lambda kv: (g.weight(kv[0]),
-                                      tuple(-e for e in kv[0])))
+        den = self._den
+        keys = sorted(self._nums, key=lambda k: (k >> _WSHIFT, -(k & _LOW)))
+        return [(_exps(k), Fraction(self._nums[k], den)) for k in keys]
 
     def __str__(self):
-        if not self.terms:
+        if not self._nums:
             return "0"
         parts = []
         for exps, c in self.sorted_terms():
@@ -430,79 +511,96 @@ class Substitution:
     in a grading where it does not.  On a Poly of at most the order, a call
     returns exactly `poly.substitute(subs)`."""
 
-    __slots__ = ("grading", "order", "positions", "factors", "gaps", "_products")
+    __slots__ = ("grading", "order", "positions", "factors", "_mask", "_vars",
+                 "_limit", "_heads", "_products")
 
     def __init__(self, subs: Mapping[str, Poly], grading: Grading, order: int):
         g = grading
-        for v, s in subs.items():
+        for s in subs.values():
             if s.grading != g:
                 raise GradingError("substituted series has a different grading")
             order = min(order, s.order)
-            mw = s.min_weight()
-            if mw is not None and mw < g.weight_of(v):
-                raise SubstitutionError(
-                    f"substitution for {v} has weight {mw} < {g.weight_of(v)}")
-        sub_idx = sorted((VAR_INDEX[v], s.with_order(order))
-                         for v, s in subs.items())
         self.grading, self.order = g, order
-        self.positions = tuple(i for i, _ in sub_idx)
-        self.factors = [s._integer_items() for _, s in sub_idx]
-        # every term of a substituted series weighs at least its min weight,
-        # so a term whose lightest possible image is above the order is
-        # skipped; a zero series annihilates every term that uses it
-        self.gaps = tuple(order + 1 if s.is_zero() else s.min_weight() - g.weights[i]
-                          for i, s in sub_idx)
-        self._products = {(0,) * len(sub_idx): (1, [(0, ZERO_EXPS, 1)])}
+        self._limit = limit = (order + 1) << _WSHIFT
+        self.positions = tuple(sorted(VAR_INDEX[v] for v in subs))
+        self.factors, self._vars = [], []
+        for i in self.positions:
+            s, w = subs[VARS[i]], g.weights[i]
+            # each series is read as stored, truncated at the order
+            items = sorted(s._nums.items())
+            if items and items[0][0] >> _WSHIFT < w:
+                raise SubstitutionError(
+                    f"substitution for {VARS[i]} has weight "
+                    f"{items[0][0] >> _WSHIFT} < {w}")
+            items = items[:bisect_left(items, (limit,))]
+            self.factors.append((s._den, items))
+            # every term of a substituted series weighs at least its min
+            # weight, so a term whose lightest possible image is above the
+            # order is skipped; a zero series annihilates every term using it
+            gap = (items[0][0] >> _WSHIFT) - w if items else order + 1
+            # its field, the key of the variable alone, and its gap
+            self._vars.append((_SHIFTS[i], (1 << _SHIFTS[i]) + (w << _WSHIFT), gap))
+        self._mask = _mask(subs)
+        # per substituted monomial (its fields of a key): its key and the
+        # least weight its image adds above it, shifted to the weight field
+        self._heads: dict = {0: (0, 0)}
+        self._products = {0: (1, [(0, 1)])}
 
-    def product(self, key: tuple) -> tuple:
-        """Integer form (d, [(weight, exps, n)]), sorted by weight, of the
-        product of the series to the powers `key`, truncated at the order."""
+    def _head(self, fields: int) -> tuple:
+        """(key, bump) of the substituted monomial in these fields."""
+        key = bump = 0
+        for s, unit, gap in self._vars:
+            e = (fields >> s) & _FMASK
+            key += e * unit
+            bump += e * gap
+        self._heads[fields] = key, bump << _WSHIFT
+        return key, bump << _WSHIFT
+
+    def product(self, key: int) -> tuple:
+        """(d, [(key, n)]) sorted by key: the product of the series to the
+        powers in the packed monomial `key`, truncated at the order."""
         p = self._products.get(key)
         if p is None:
-            # shared prefixes hit the cache
-            pos = max(j for j, e in enumerate(key) if e)
-            prev = key[:pos] + (key[pos] - 1,) + key[pos + 1:]
-            d, acc = _integer_product(self.product(prev), self.factors[pos],
-                                      self.order)
-            weight = self.grading.weight
-            p = d, sorted((weight(e), e, n) for e, n in acc.items())
+            # the last variable used goes last, so shared prefixes hit the cache
+            j = len(self._vars) - 1
+            while not (key >> self._vars[j][0]) & _FMASK:
+                j -= 1
+            d, items = self.product(key - self._vars[j][1])
+            fd, factor = self.factors[j]
+            acc = _mul_items(items, factor, self._limit)
+            p = d * fd, sorted((k, n) for k, n in acc.items() if n)
             self._products[key] = p
         return p
 
     def __call__(self, poly: Poly) -> Poly:
         g = self.grading
-        if poly.grading != g:
+        if poly.grading is not g and poly.grading != g:
             raise GradingError("substituted series has a different grading")
         order = min(self.order, poly.order)
-        weight = g.weight
-        positions, gaps, products = self.positions, self.gaps, self._products
+        limit = (order + 1) << _WSHIFT
+        mask, heads, products = self._mask, self._heads, self._products
         live = []
-        for exps, c in poly.terms.items():
-            key = tuple(exps[i] for i in positions)
-            low = weight(exps)
-            for e, gap in zip(key, gaps):
-                if e:
-                    low += e * gap
-            if low > order:
+        for k, n in poly._nums.items():
+            fields = k & mask
+            head = heads.get(fields)
+            key, bump = head if head is not None else self._head(fields)
+            if k + bump >= limit:
                 continue
-            shift = tuple(0 if i in positions else e
-                          for i, e in enumerate(exps))
             p = products.get(key)
-            live.append((shift, c, p if p is not None else self.product(key)))
-        # accumulate integer numerators over one common denominator, as in
-        # Poly.__mul__; product terms come sorted by weight
-        den = lcm(*(c.denominator * d for _, c, (d, _) in live))
+            live.append((k - key, n, p if p is not None else self.product(key)))
+        # accumulate integer numerators over one common denominator; product
+        # terms come sorted by key, so by weight
+        den = lcm(*(d for _, _, (d, _) in live))
         out: dict = {}
-        for shift, c, (d, items) in live:
-            scale = c.numerator * (den // (c.denominator * d))
-            room = order - weight(shift)
-            for w, pe, n in items:
-                if w > room:
+        get = out.get
+        for shift, n, (d, items) in live:
+            scale = n * (den // d)
+            for pk, pn in items:
+                k = pk + shift
+                if k >= limit:
                     break
-                ne = (pe[0] + shift[0], pe[1] + shift[1], pe[2] + shift[2],
-                      pe[3] + shift[3], pe[4] + shift[4])
-                out[ne] = out.get(ne, 0) + scale * n
-        return Poly._raw({e: Fraction(n, den) for e, n in out.items() if n}, g, order)
+                out[k] = get(k, 0) + scale * pn
+        return _make(g, order, den * poly._den, {k: n for k, n in out.items() if n})
 
 
 class RelaxedSubstitution:
@@ -521,16 +619,17 @@ class RelaxedSubstitution:
     raises SubstitutionError: the fixed point being solved is not
     triangular."""
 
-    __slots__ = ("grading", "positions", "weights", "_series", "_terms",
+    __slots__ = ("grading", "positions", "weights", "_series", "_firsts",
                  "_parts", "_reads")
 
     def __init__(self, variables, grading: Grading):
         self.grading = grading
         self.positions = tuple(sorted(VAR_INDEX[v] for v in variables))
         self.weights = tuple(grading.weights[i] for i in self.positions)
-        # per series, its parts in integer form (d, [(exps, n)]) by weight
+        # per series, its parts (d, [(key, n)]) by weight
         self._series = [[(1, [])] * w for w in self.weights]
-        self._terms = [{} for _ in self.positions]
+        # per series, the weight of its first nonzero part, once set
+        self._firsts = [None] * len(self.positions)
         self._parts: dict = {}
         self._reads: dict = {}
 
@@ -538,18 +637,21 @@ class RelaxedSubstitution:
         """Set the next homogeneous part of the series substituted for var."""
         j = self.positions.index(VAR_INDEX[var])
         parts = self._series[j]
-        w, g = len(parts), self.grading
-        if part.grading != g or any(g.weight(e) != w for e in part.terms):
+        w = len(parts)
+        if part.grading != self.grading or any(k >> _WSHIFT != w
+                                               for k in part._nums):
             raise ValueError(f"the next part of {var} must be homogeneous "
                              f"of weight {w}")
-        d, items = part._integer_items()
-        parts.append((d, [(e, n) for _, e, n in items]))
-        self._terms[j].update(part.terms)
+        parts.append((part._den, list(part._nums.items())))
+        if part._nums and self._firsts[j] is None:
+            self._firsts[j] = w
 
     def series(self, var: str) -> Poly:
         """The series substituted for var, through its last weight set."""
-        j = self.positions.index(VAR_INDEX[var])
-        return Poly._raw(self._terms[j], self.grading, len(self._series[j]) - 1)
+        parts = self._series[self.positions.index(VAR_INDEX[var])]
+        den = lcm(*(d for d, _ in parts))
+        return _make(self.grading, len(parts) - 1, den,
+                     {k: n * (den // d) for d, items in parts for k, n in items})
 
     def _read(self, j: int, w: int) -> tuple:
         parts = self._series[j]
@@ -561,17 +663,17 @@ class RelaxedSubstitution:
     def _valuation(self, j: int) -> int:
         """A lower bound for the weight of every nonzero part of series j:
         its first nonzero part, or else the first part not set yet."""
-        parts = self._series[j]
-        return next((w for w, (_, items) in enumerate(parts) if items), len(parts))
+        first = self._firsts[j]
+        return len(self._series[j]) if first is None else first
 
     def _product(self, key: tuple, w: int) -> tuple:
-        """Integer form (d, [(exps, n)]) of the weight-w part of the product
-        of the series to the powers `key`."""
+        """(d, [(key, n)]) of the weight-w part of the product of the series
+        to the powers `key`."""
         p = self._parts.get((key, w))
         if p is not None:
             return p
         if not any(key):
-            return 1, ([(ZERO_EXPS, 1)] if w == 0 else [])
+            return 1, ([(0, 1)] if w == 0 else [])
         pos = max(j for j, e in enumerate(key) if e)
         prev = key[:pos] + (key[pos] - 1,) + key[pos + 1:]
         if not any(prev):
@@ -584,37 +686,37 @@ class RelaxedSubstitution:
             pairs = [(a, b) for a, b in pairs if a[1] and b[1]]
             den = lcm(*(a[0] * b[0] for a, b in pairs))
             acc: dict = {}
+            get = acc.get
             for (d1, items1), (d2, items2) in pairs:
                 scale = den // (d1 * d2)
-                for e1, n1 in items1:
+                for k1, n1 in items1:
                     m = n1 * scale
-                    for e2, n2 in items2:
-                        e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2],
-                             e1[3] + e2[3], e1[4] + e2[4])
-                        acc[e] = acc.get(e, 0) + m * n2
-            p = den, [(e, n) for e, n in acc.items() if n]
+                    for k2, n2 in items2:
+                        k = k1 + k2
+                        acc[k] = get(k, 0) + m * n2
+            p = den, [(k, n) for k, n in acc.items() if n]
         self._parts[(key, w)] = p
         return p
 
     def _items(self, poly: Poly) -> tuple:
-        """poly as (d, [(weight, key, shift, weight of shift, n)]), each
-        term n / d split into the powers `key` of the substituted variables
-        and the exponents `shift` of the others, sorted by weight.  Formed
-        at the first read of poly; the entry keeps poly alive, so its id is
-        not reused while the table lives."""
+        """poly as (d, [(weight, powers, shift, weight of shift, n)]), each
+        term n / d split into the powers of the substituted variables and
+        the key `shift` of the others, sorted by weight.  Formed at the
+        first read of poly; the entry keeps poly alive, so its id is not
+        reused while the table lives."""
         hit = self._reads.get(id(poly))
         if hit is not None:
             return hit[1]
-        positions, weights = self.positions, self.weights
-        d, items = poly._integer_items()
+        shifts = [_SHIFTS[i] for i in self.positions]
         grouped = []
-        for w, exps, n in items:
-            key = tuple(exps[i] for i in positions)
-            shift = tuple(0 if i in positions else e for i, e in enumerate(exps))
-            grouped.append((w, key, shift,
-                            w - sum(e * wt for e, wt in zip(key, weights)), n))
-        self._reads[id(poly)] = poly, (d, grouped)
-        return d, grouped
+        for k, n in sorted(poly._nums.items()):
+            powers = tuple((k >> s) & _FMASK for s in shifts)
+            sub_w = sum(e * wt for e, wt in zip(powers, self.weights))
+            sub = sum(e << s for e, s in zip(powers, shifts)) + (sub_w << _WSHIFT)
+            w = k >> _WSHIFT
+            grouped.append((w, powers, k - sub, w - sub_w, n))
+        self._reads[id(poly)] = poly, (poly._den, grouped)
+        return poly._den, grouped
 
     def part(self, poly: Poly, w: int) -> Poly:
         """The weight-w part of poly(subs), a Poly of order w."""
@@ -623,19 +725,18 @@ class RelaxedSubstitution:
             raise GradingError("substituted series has a different grading")
         d, items = self._items(poly)
         live = []
-        for pw, key, shift, sw, n in items:
+        for pw, powers, shift, sw, n in items:
             if pw > w:
                 break
-            p = self._product(key, w - sw)
+            p = self._product(powers, w - sw)
             if p[1]:
                 live.append((shift, n, p))
         den = lcm(*(pd for _, _, (pd, _) in live))
         out: dict = {}
+        get = out.get
         for shift, n, (pd, product) in live:
             scale = n * (den // pd)
-            for pe, pn in product:
-                ne = (pe[0] + shift[0], pe[1] + shift[1], pe[2] + shift[2],
-                      pe[3] + shift[3], pe[4] + shift[4])
-                out[ne] = out.get(ne, 0) + scale * pn
-        den *= d
-        return Poly._raw({e: Fraction(n, den) for e, n in out.items() if n}, g, w)
+            for pk, pn in product:
+                k = pk + shift
+                out[k] = get(k, 0) + scale * pn
+        return _make(g, w, den * d, {k: n for k, n in out.items() if n})

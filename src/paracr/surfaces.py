@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import factorial, lcm
+from math import factorial
 
 from . import cmoperator as cm
 from .poly import Poly, Grading, RelaxedSubstitution, Substitution, UNIT, \
@@ -142,8 +142,8 @@ def apply_map(surface: SurfaceJet, pmap: PointMap) -> SurfaceJet:
     weighted order at least the weight of y; otherwise MapError.  Then
     image(e) = e(A, B, X(x, F)) is e plus heavier terms, and one triangular
     pass fixes F* weight by weight: its weight-w part is that of Y(x, F)
-    less c (image(e) - e) for each term c e fixed at a lighter weight, read
-    from the product cache of one `Substitution`.  A fresh substitution then
+    less image(e) - e for each part e fixed at a lighter weight, read from
+    the product cache of one `Substitution`.  A fresh substitution then
     re-checks Y(x, F) = F*(A, B, X(x, F)) at the jet's order, or SolveError.
     """
     g, L = surface.grading, surface.order
@@ -164,28 +164,16 @@ def apply_map(surface: SurfaceJet, pmap: PointMap) -> SurfaceJet:
     y_val = on_surface(m.Yc)
     subs = {"a": m.Ac, "b": m.Bc, "x": on_surface(m.Xc)}
     image = Substitution(subs, g, L)
-    # Y(x, F) less c (image(e) - e) for each term c e of F* fixed so far,
-    # as integer numerators over the common denominator D
-    D, items = y_val._integer_items()
-    rest = {e: n for _, e, n in items}
-    solved: dict = {}
+    # F* is a series in the substituted variables (a, b, x); the weight-w
+    # part of image(e) is e itself, so subtracting the image of each part
+    # fixed leaves the heavier parts still to fix
+    rest, F_star = y_val, Poly.zero(g, L)
     for w in range(L + 1):
-        fixed = [(e, Fraction(n, D)) for e, n in rest.items() if n and g.weight(e) == w]
-        solved.update(fixed)
-        if w == L or not fixed:
-            continue
-        # F* is a series in the substituted variables (a, b, x)
-        batch = [(c, image.product(e[:3])) for e, c in fixed]
-        den = lcm(D, *(c.denominator * d for c, (d, _) in batch))
-        if den != D:
-            rest = {e: n * (den // D) for e, n in rest.items()}
-            D = den
-        for c, (d, items) in batch:
-            scale = c.numerator * (D // (c.denominator * d))
-            for pw, pe, n in items:
-                if pw > w:
-                    rest[pe] = rest.get(pe, 0) - scale * n
-    F_star = Poly._raw(solved, g, L)
+        fixed = rest.component(w)
+        if not fixed.is_zero():
+            F_star = F_star + fixed
+            if w < L:
+                rest = rest - image(fixed)
     residual = y_val - F_star.substitute(subs)
     if not residual.is_zero():
         raise SolveError("apply_map: defining identity fails at weight "
@@ -259,21 +247,13 @@ def finite_type(surface: SurfaceJet) -> TypeData | None:
     return TypeData(k=k, m=m, n=k - m)
 
 
-def _scale(F: Poly, var: str, s: Fraction) -> Poly:
-    """F with var -> s var, a diagonal map: each term gains a power of s."""
-    i = VAR_INDEX[var]
-    return Poly._raw({e: c * s ** e[i] for e, c in F.terms.items()},
-                     F.grading, F.order)
-
-
 def _reduce(surface: SurfaceJet) -> tuple:
     """The preliminary reduction of a regular or singular jet, in closed
     form in the unit grading, where its maps keep the filtration.
 
     The type (k, m, n) is read once, after `_absorb`, and the coefficient c
     of b^m x^n is scaled to 1: by b* = c b when m = 1, else by y* = y/c,
-    a* = a/c, since the b-scaling alone cannot reach 1 over the rationals;
-    both maps are diagonal, so `_scale` applies them term by term.
+    a* = a/c, since the b-scaling alone cannot reach 1 over the rationals.
     Exact checks: no pure series, nothing of type-k weight <= k off the
     model, and Y(x, F) = F*(A, B, X(x, F)).  Returns (F*, map, TypeData),
     F* and the map in the type-k grading; MapError if no mixed term is left.
@@ -285,15 +265,15 @@ def _reduce(surface: SurfaceJet) -> tuple:
         raise MapError(f"no mixed term through degree {L}; "
                        "type is undetermined at this truncation")
     k, m, n = t.k, t.m, t.n
-    x, b = Poly.var("x", UNIT, L), Poly.var("b", UNIT, L)
+    x, a, b = (Poly.var(v, UNIT, L) for v in "xab")
     Bc = b
     c = Fs.coeff(mono_exps(b=m, x=n))
     if c != 1:
         inv = Fraction(1) / c
         if m == 1:
-            Fs, Bc = _scale(Fs, "b", inv), b * c
+            Fs, Bc = Fs.substitute({"b": b * inv}), b * c
         else:
-            Fs, Yc, Ac = _scale(Fs, "a", c) * inv, Yc * inv, Ac * inv
+            Fs, Yc, Ac = Fs.substitute({"a": a * c}) * inv, Yc * inv, Ac * inv
     t = TypeData(k, m, n, tuple(Fs.coeff(mono_exps(b=j, x=k - j))
                                 for j in range(m + 1, k)))
     if not (Fs.set_zero("a", "b").is_zero() and Fs.set_zero("a", "x").is_zero()):
@@ -372,11 +352,12 @@ def _normalize_weights(surface: SurfaceJet, model: Poly, complement) -> tuple:
                 for e, c in model.partial("b", i).partial("x", j).terms.items():
                     taylor.setdefault(e, {})[mono_exps(b=i, x=j)] = \
                         c / (factorial(i) * factorial(j))
-    taylor = [(e, g.weight(e), Poly(P, g, L)) for e, P in taylor.items()]
+    taylor = [(Poly({e: 1}, g, L), g.weight(e), Poly(P, g, L))
+              for e, P in taylor.items()]
 
     def read(table, poly, w):
         # at the jet's order, so that its products reach weight nu
-        return Poly._raw(table.part(poly, w).terms, g, L)
+        return table.part(poly, w).with_order(L)
 
     f_star = zero
     eliminated: dict = {}
@@ -391,11 +372,8 @@ def _normalize_weights(surface: SurfaceJet, model: Poly, complement) -> tuple:
         p_nu = (read(on_F, phi.Yc, nu) - phi.Ac.component(nu)
                 - read(image, f_star, nu) - q_b * phi.Bc.component(low + 1)
                 - q_x * read(on_F, phi.Xc, low + 1))
-        for e, we, P in taylor:
-            # b^r x^s times a part of P(B - b, X - x) shifts its exponents
-            shifted = {tuple(i + j for i, j in zip(pe, e)): c
-                       for pe, c in shift.part(P, nu - we).terms.items()}
-            p_nu = p_nu - Poly._raw(shifted, g, L)
+        for mono, we, P in taylor:
+            p_nu = p_nu - read(shift, P, nu - we) * mono
         if p_nu.is_zero():
             continue
         v, normal = cm.decompose(p_nu, complement(nu), g, model)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from paracr import cli, singnorm
-from paracr.poly import Poly, REGULAR, UNIT, VARS, mono_exps
+from paracr.poly import MAX_ORDER, Poly, REGULAR, UNIT, VARS, mono_exps
 from conftest import random_regular_jet
 from paracr.surfaces import SurfaceJet, preliminary_reduce
 from test_acceptance import GOLDEN_NORMALIZE
@@ -70,6 +70,28 @@ def test_parse_rejects_over_order_terms():
     with pytest.raises(cli.ParseError) as info:
         cli.parse_poly("a + b^5 x^5", {"a", "b", "x"}, REGULAR, 8)
     assert "exceeds the truncation order" in str(info.value)
+
+
+def test_parse_builds_one_polynomial():
+    # terms are collected and the polynomial built once: repeated monomials
+    # still add up, and the result equals the fold of one monomial per term
+    rng = random.Random(5)
+    monos = [e for e in ((i, j, l, 0, 0) for i in range(5) for j in range(9)
+                         for l in range(9)) if REGULAR.weight(e) <= 8]
+    terms = [(rng.choice(monos), Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+             for _ in range(300)]
+    text = " + ".join(f"{c.numerator}/{c.denominator} "
+                      f"a^{e[0]} b^{e[1]} x^{e[2]}" for e, c in terms)
+    text = text.replace("+ -", "- ")
+    fold = Poly.zero(REGULAR, 8)
+    for e, c in terms:
+        fold = fold + Poly({e: c}, REGULAR, 8)
+    assert cli.parse_poly(text, {"a", "b", "x"}, REGULAR, 8) == fold
+    assert cli.parse_poly("a + a", {"a", "b", "x"}, REGULAR, 8) == \
+        Poly.monomial(2, REGULAR, 8, a=1)
+    assert cli.parse_poly("b x - x b", {"a", "b", "x"}, REGULAR, 8).is_zero()
+    with pytest.raises(cli.ParseError, match="exceeds the truncation order"):
+        cli.parse_poly("a + a - b^9", {"a", "b", "x"}, REGULAR, 8)
 
 
 def test_tables_text_and_json(capsys):
@@ -346,6 +368,17 @@ def test_malformed_order_guard(capsys, monkeypatch):
         monkeypatch.setenv("PARACR_MAX_ORDER", value)
         code, out, err = run(capsys, "type", "--expr", "a+bx")
         assert code == 2 and "PARACR_MAX_ORDER" in err and not out
+
+
+def test_max_order_guard_stops_at_the_packing_limit(capsys, monkeypatch):
+    # exponents are packed in fields that hold orders up to poly.MAX_ORDER
+    monkeypatch.setenv("PARACR_MAX_ORDER", str(MAX_ORDER + 1))
+    code, out, err = run(capsys, "type", "--expr", "a+bx")
+    assert code == 2 and "PARACR_MAX_ORDER" in err and str(MAX_ORDER) in err
+    assert not out
+    monkeypatch.setenv("PARACR_MAX_ORDER", str(MAX_ORDER))
+    code, out, err = run(capsys, "type", "--expr", "a+bx", "--json")
+    assert code == 0, err
 
 
 def test_input_file(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -307,3 +308,187 @@ def test_relaxed_substitution_reads_only_parts_set():
         table.part(y * y * y, 4)
     with pytest.raises(ValueError, match="homogeneous of weight 2"):
         table.extend("y", a + a * a)
+
+
+# ---- ring laws and a plain-dict oracle ------------------------------------
+
+GRADINGS = [REGULAR, UNIT, singular_grading(3), singular_grading(4),
+            singular_grading(5)]
+
+
+def ref_trunc(terms: dict, g, order: int) -> dict:
+    return {e: c for e, c in terms.items() if c and g.weight(e) <= order}
+
+
+def ref_add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(p: dict, q: dict, g, order: int) -> dict:
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return ref_trunc(out, g, order)
+
+
+def ref_substitute(p: dict, subs: dict, g, order: int) -> dict:
+    """p(subs) by expanding every power, truncated at `order`."""
+    out: dict = {}
+    for exps, c in p.items():
+        term = {tuple(0 if VARS[i] in subs else e for i, e in enumerate(exps)): c}
+        for v, s in subs.items():
+            for _ in range(exps[VAR_INDEX[v]]):
+                term = ref_mul(term, s, g, order)
+        out = ref_add(out, term)
+    return ref_trunc(out, g, order)
+
+
+def assert_canonical(p: Poly):
+    """The stored form: one positive denominator in lowest terms with the
+    numerators, none of them zero."""
+    assert p._den > 0 and gcd(p._den, *p._nums.values()) == 1
+    assert all(p._nums.values())
+
+
+@st.composite
+def graded_polys(draw, count: int, same_order: bool = False):
+    """(grading, [polys]) with up to 6 terms each, some of weight above the
+    order, which construction drops."""
+    g = draw(st.sampled_from(GRADINGS))
+    order = draw(st.integers(0, 8))
+    ps = []
+    for _ in range(count):
+        L = order if same_order else draw(st.integers(max(order - 2, 0), order + 2))
+        ps.append(draw(polys(g, L, 0, L + 1, 6)))
+    return g, ps
+
+
+@settings(max_examples=80, deadline=None)
+@given(graded_polys(3, same_order=True),
+       coefs.filter(bool))
+def test_ring_laws(case, c):
+    g, (p, q, r) = case
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p + q == q + p and p * q == q * p
+    assert p * (q + r) == p * q + p * r
+    assert p + q - q == p and p - p == Poly.zero(g, p.order)
+    assert (p * c) * (1 / c) == p
+    assert -(-p) == p and p - q == -(q - p)
+    for s in (p + q, p * q, p - q, p * c, -p, p ** 2):
+        assert_canonical(s)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graded_polys(2), coefs, st.data())
+def test_operations_match_plain_dicts(case, c, data):
+    g, (p, q) = case
+    P, Q = dict(p.terms), dict(q.terms)
+    L = min(p.order, q.order)
+    checks = [
+        (p + q, ref_trunc(ref_add(P, Q), g, L), L),
+        (p - q, ref_trunc(ref_add(P, {e: -v for e, v in Q.items()}), g, L), L),
+        (-p, {e: -v for e, v in P.items()}, p.order),
+        (p * c, ref_trunc({e: v * c for e, v in P.items()}, g, p.order), p.order),
+        (p * q, ref_mul(P, Q, g, L), L),
+    ]
+    var = data.draw(st.sampled_from(VARS))
+    i, w = VAR_INDEX[var], g.weight_of(var)
+    n = data.draw(st.integers(0, 3))
+    falling = P
+    for _ in range(n):
+        falling = {e[:i] + (e[i] - 1,) + e[i + 1:]: v * e[i]
+                   for e, v in falling.items() if e[i]}
+    checks.append((p.partial(var, n), falling, p.order - n * w))
+    checks.append((p.integrate(var),
+                   {e[:i] + (e[i] + 1,) + e[i + 1:]: v / (e[i] + 1)
+                    for e, v in P.items()}, p.order + w))
+    weight = data.draw(st.integers(0, 9))
+    checks.append((p.component(weight),
+                   {e: v for e, v in P.items() if g.weight(e) == weight}, p.order))
+    checks.append((p.up_to_weight(weight), ref_trunc(P, g, weight), p.order))
+    checks.append((p.with_order(weight), ref_trunc(P, g, weight), weight))
+    h = data.draw(st.sampled_from(GRADINGS))
+    checks.append((p.with_grading(h, weight), ref_trunc(P, h, weight), weight))
+    fixed = data.draw(st.dictionaries(st.sampled_from(VARS), st.integers(0, 3),
+                                      max_size=2))
+    idx = {VAR_INDEX[v]: e for v, e in fixed.items()}
+    checks.append((p.coeff_series(**fixed),
+                   {tuple(0 if j in idx else e for j, e in enumerate(exps)): v
+                    for exps, v in P.items()
+                    if all(exps[j] == e for j, e in idx.items())}, p.order))
+    zeroed = data.draw(st.lists(st.sampled_from(VARS), max_size=2, unique=True))
+    checks.append((p.set_zero(*zeroed),
+                   {e: v for e, v in P.items()
+                    if not any(e[VAR_INDEX[z]] for z in zeroed)}, p.order))
+    for got, want, order in checks:
+        assert got.terms == want and got.order == order
+        assert_canonical(got)
+    assert sum((part for _, part in p.weighted_components()),
+               Poly.zero(g, p.order)) == p
+    assert p.min_weight() == min((g.weight(e) for e in P), default=None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(substitutions(), st.data())
+def test_substitutions_match_plain_dicts(case, data):
+    subs, g, L = case
+    sub = Substitution(subs, g, L)
+    table = RelaxedSubstitution(subs, g)
+    plain = {v: dict(s.terms) for v, s in subs.items()}
+    p = data.draw(polys(g, sub.order, 0, sub.order + 1, 6))
+    want = ref_substitute(dict(p.terms), plain, g, sub.order)
+    got = sub(p)
+    assert got.terms == want and got.order == sub.order
+    assert_canonical(got)
+    for w in range(sub.order + 1):
+        for v, s in subs.items():
+            if w >= g.weight_of(v):
+                table.extend(v, s.component(w))
+        part = table.part(p, w)
+        assert part.terms == {e: c for e, c in want.items() if g.weight(e) == w}
+        assert_canonical(part)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_polys(1), coefs.filter(bool))
+def test_equal_polys_built_different_ways_hash_alike(case, c):
+    g, (p,) = case
+    q = Poly.var("b", g, p.order)
+    ways = [p, Poly(p.terms, g, p.order), Poly(dict(p.terms), g, p.order + 1),
+            p + q - q, (p * c) * (1 / c), p * 2 * Fraction(1, 2),
+            sum((part for _, part in p.weighted_components()), Poly.zero(g, p.order)),
+            p.with_grading(UNIT, 3 * p.order).with_grading(g, p.order)]
+    for other in ways:
+        assert other == p and hash(other) == hash(p)
+        assert_canonical(other)
+    assert p + 1 != p
+    with pytest.raises(TypeError):
+        p.terms[mono_exps()] = Fraction(1)  # the view is read-only
+
+
+def test_order_above_the_packing_limit_is_refused():
+    from paracr.poly import MAX_ORDER
+    with pytest.raises(ValueError, match="MAX_ORDER"):
+        Poly.zero(UNIT, MAX_ORDER + 1)
+    with pytest.raises(ValueError, match="MAX_ORDER"):
+        Poly({mono_exps(x=1): 1}, UNIT, MAX_ORDER + 1)
+    x = Poly.var("x", UNIT, MAX_ORDER)
+    with pytest.raises(ValueError, match="MAX_ORDER"):
+        x.integrate("x")
+    with pytest.raises(ValueError, match="MAX_ORDER"):
+        x.with_order(MAX_ORDER + 1)
+    # at the limit, a sum of two exponents still fits its field: x^L x^L is
+    # above the order and dropped, not carried into the neighbouring field
+    b = Poly.var("b", UNIT, MAX_ORDER)
+    top = Poly.monomial(1, UNIT, MAX_ORDER, x=MAX_ORDER)
+    assert (top + b) * (top + b) == b * b
+    assert (top * top).is_zero() and top.coeff_mono(x=MAX_ORDER) == 1
+    assert top.partial("x").coeff_mono(x=MAX_ORDER - 1) == MAX_ORDER
+    with pytest.raises(ValueError, match="exponents"):
+        Poly({(0, 0, -1, 0, 0): 1}, UNIT, 4)

@@ -145,16 +145,18 @@ def test_apply_map_identity_check_is_live(monkeypatch):
     m = PointMap(var("x"), var("y"), var("a") + Poly.monomial(1, g, L, a=1, b=1),
                  var("b"))
     assert satisfies_identity(S.F, m, apply_map(S, m).F)
-    ab = mono_exps(a=1, b=1)
+    # products are (d, [(key, n)]), keyed by packed monomials
+    key_a, = Poly.var("a", g, L)._nums
+    key_ab, = Poly.monomial(1, g, L, a=1, b=1)._nums
 
     class WrongProduct(Substitution):
         __slots__ = ()
 
         def product(self, key):
             d, items = super().product(key)
-            if key != (1, 0, 0):
+            if key != key_a:
                 return d, items
-            return d, [(w, e, n + d if e == ab else n) for w, e, n in items]
+            return d, [(k, n + d if k == key_ab else n) for k, n in items]
 
     monkeypatch.setattr(surfaces, "Substitution", WrongProduct)
     with pytest.raises(SolveError,
